@@ -222,6 +222,11 @@ mod tests {
         // dof = 10, t = 3.169 → 1%.
         let p = two_sided_p(3.169, 10.0);
         assert!((p - 0.01).abs() < 0.001, "p = {p}");
+        // dof = 4, t = 2.776445 → 5%; t = 4.604095 → 1%.
+        let p = two_sided_p(2.776445, 4.0);
+        assert!((p - 0.05).abs() < 0.002, "p = {p}");
+        let p = two_sided_p(4.604095, 4.0);
+        assert!((p - 0.01).abs() < 0.001, "p = {p}");
     }
 
     #[test]
