@@ -7,8 +7,8 @@
 //! cannot silently ship without an adjoint.
 
 use crate::param::{ParamId, ParamStore};
+use crate::Ops;
 use agnn_tensor::{ops, shape, Matrix, ShapeError};
-use rand::Rng;
 use std::rc::Rc;
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the graph
@@ -23,47 +23,48 @@ impl Var {
     }
 }
 
-/// How a tape node was produced; parents are earlier tape positions.
-/// Some payloads (scalars recorded at forward time) are not needed by the
-/// adjoints but are kept for debuggability of tape dumps.
+/// One kernel op over operands `V`. On the tape, `V` is a [`Var`] (an
+/// earlier tape position) and the op records how its node was produced;
+/// an eager evaluator passes the operand matrices themselves. Some payloads
+/// (scalars recorded at forward time) are not needed by the adjoints but
+/// are kept for debuggability of tape dumps.
 #[derive(Clone, Debug)]
-#[allow(dead_code)]
-enum Op {
+pub enum Op<V = Var> {
     /// Constant or parameter leaf.
     Leaf,
-    MatMul(Var, Var),
-    Add(Var, Var),
-    Sub(Var, Var),
-    Mul(Var, Var),
-    Scale(Var, f32),
-    AddScalar(Var, f32),
-    AddRowBroadcast(Var, Var),
-    MulRowBroadcast(Var, Var),
-    MulColBroadcast(Var, Var),
-    Concat(Vec<Var>),
-    GatherRows(Var, Rc<Vec<usize>>),
-    SegmentMeanRows(Var, usize),
-    SegmentSumRows(Var, usize),
-    SegmentSumRowsVar(Var, Rc<Vec<usize>>),
-    SegmentMeanRowsVar(Var, Rc<Vec<usize>>),
-    RepeatRows(Var, usize),
-    LeakyRelu(Var, f32),
-    Relu(Var),
-    Sigmoid(Var),
-    Tanh(Var),
-    Exp(Var),
-    Ln(Var),
-    SqrtEps(Var, f32),
-    Square(Var),
-    Abs(Var),
-    Neg(Var),
-    Dropout(Var, Rc<Matrix>),
-    SumAll(Var),
-    MeanAll(Var),
-    SumRows(Var),
-    SumCols(Var),
-    SegmentSoftmaxCol(Var, usize),
-    Reshape(Var, usize, usize),
+    MatMul(V, V),
+    Add(V, V),
+    Sub(V, V),
+    Mul(V, V),
+    Scale(V, f32),
+    AddScalar(V, f32),
+    AddRowBroadcast(V, V),
+    MulRowBroadcast(V, V),
+    MulColBroadcast(V, V),
+    Concat(Vec<V>),
+    GatherRows(V, Rc<Vec<usize>>),
+    SegmentMeanRows(V, usize),
+    SegmentSumRows(V, usize),
+    SegmentSumRowsVar(V, Rc<Vec<usize>>),
+    SegmentMeanRowsVar(V, Rc<Vec<usize>>),
+    RepeatRows(V, usize),
+    LeakyRelu(V, f32),
+    Relu(V),
+    Sigmoid(V),
+    Tanh(V),
+    Exp(V),
+    Ln(V),
+    SqrtEps(V, f32),
+    Square(V),
+    Abs(V),
+    Neg(V),
+    Dropout(V, Rc<Matrix>),
+    SumAll(V),
+    MeanAll(V),
+    SumRows(V),
+    SumCols(V),
+    SegmentSoftmaxCol(V, usize),
+    Reshape(V, usize, usize),
 }
 
 impl Op {
@@ -145,6 +146,57 @@ impl Op {
             | Op::SegmentSoftmaxCol(a, _)
             | Op::Reshape(a, _, _) => vec![*a],
         }
+    }
+}
+
+/// Forward kernel dispatch for a (shape-valid) op: the one table from op to
+/// `agnn_tensor` kernel, used by the tape and by eager evaluators alike.
+/// `value` resolves an operand to its matrix.
+pub fn eval<'a, V>(op: &'a Op<V>, value: impl Fn(&'a V) -> &'a Matrix) -> Matrix {
+    match op {
+        Op::Leaf => unreachable!("leaves are pushed directly, not recorded"),
+        Op::MatMul(a, b) => ops::matmul(value(a), value(b)),
+        Op::Add(a, b) => ops::add(value(a), value(b)),
+        Op::Sub(a, b) => ops::sub(value(a), value(b)),
+        Op::Mul(a, b) => ops::mul(value(a), value(b)),
+        Op::Scale(a, s) => ops::scale(value(a), *s),
+        Op::AddScalar(a, s) => {
+            let s = *s;
+            ops::map(value(a), move |x| x + s)
+        }
+        Op::AddRowBroadcast(a, r) => ops::add_row_broadcast(value(a), value(r)),
+        Op::MulRowBroadcast(a, r) => ops::mul_row_broadcast(value(a), value(r)),
+        Op::MulColBroadcast(a, c) => ops::mul_col_broadcast(value(a), value(c)),
+        Op::Concat(parts) => {
+            let mats: Vec<&Matrix> = parts.iter().map(&value).collect();
+            Matrix::hconcat(&mats)
+        }
+        Op::GatherRows(a, rows) => value(a).gather_rows(rows),
+        Op::SegmentMeanRows(a, g) => ops::segment_mean_rows(value(a), *g),
+        Op::SegmentSumRows(a, g) => ops::segment_sum_rows(value(a), *g),
+        Op::SegmentSumRowsVar(a, o) => ops::segment_sum_rows_var(value(a), o),
+        Op::SegmentMeanRowsVar(a, o) => ops::segment_mean_rows_var(value(a), o),
+        Op::RepeatRows(a, g) => ops::repeat_rows(value(a), *g),
+        Op::LeakyRelu(a, slope) => ops::leaky_relu(value(a), *slope),
+        Op::Relu(a) => ops::relu(value(a)),
+        Op::Sigmoid(a) => ops::sigmoid(value(a)),
+        Op::Tanh(a) => ops::tanh(value(a)),
+        Op::Exp(a) => ops::map(value(a), f32::exp),
+        Op::Ln(a) => ops::map(value(a), f32::ln),
+        Op::SqrtEps(a, eps) => {
+            let eps = *eps;
+            ops::map(value(a), move |x| (x + eps).sqrt())
+        }
+        Op::Square(a) => ops::map(value(a), |x| x * x),
+        Op::Abs(a) => ops::map(value(a), f32::abs),
+        Op::Neg(a) => ops::scale(value(a), -1.0),
+        Op::Dropout(a, mask) => ops::mul(value(a), mask),
+        Op::SumAll(a) => Matrix::from_vec(1, 1, vec![ops::sum_all(value(a))]),
+        Op::MeanAll(a) => Matrix::from_vec(1, 1, vec![ops::mean_all(value(a))]),
+        Op::SumRows(a) => ops::sum_rows(value(a)),
+        Op::SumCols(a) => ops::sum_cols(value(a)),
+        Op::SegmentSoftmaxCol(a, g) => ops::segment_softmax_col(value(a), *g),
+        Op::Reshape(a, r, c) => value(a).reshape(*r, *c),
     }
 }
 
@@ -302,7 +354,7 @@ impl Graph {
                 if self.checked {
                     self.scan_masked_operands(&op);
                 }
-                let value = self.eval(&op);
+                let value = eval(&op, |&v| self.value(v));
                 debug_assert_eq!(value.shape(), shape, "shape rule out of sync with kernel for {}", op.name());
                 self.push(value, op, rg)
             }
@@ -439,55 +491,6 @@ impl Graph {
                 let parents = other.parents();
                 s(&parents[0])
             }
-        }
-    }
-
-    /// Forward kernel dispatch for a (shape-valid) op.
-    fn eval(&self, op: &Op) -> Matrix {
-        match op {
-            Op::Leaf => unreachable!("leaves are pushed directly, not recorded"),
-            Op::MatMul(a, b) => ops::matmul(self.value(*a), self.value(*b)),
-            Op::Add(a, b) => ops::add(self.value(*a), self.value(*b)),
-            Op::Sub(a, b) => ops::sub(self.value(*a), self.value(*b)),
-            Op::Mul(a, b) => ops::mul(self.value(*a), self.value(*b)),
-            Op::Scale(a, s) => ops::scale(self.value(*a), *s),
-            Op::AddScalar(a, s) => {
-                let s = *s;
-                ops::map(self.value(*a), move |x| x + s)
-            }
-            Op::AddRowBroadcast(a, r) => ops::add_row_broadcast(self.value(*a), self.value(*r)),
-            Op::MulRowBroadcast(a, r) => ops::mul_row_broadcast(self.value(*a), self.value(*r)),
-            Op::MulColBroadcast(a, c) => ops::mul_col_broadcast(self.value(*a), self.value(*c)),
-            Op::Concat(parts) => {
-                let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
-                Matrix::hconcat(&mats)
-            }
-            Op::GatherRows(a, rows) => self.value(*a).gather_rows(rows),
-            Op::SegmentMeanRows(a, g) => ops::segment_mean_rows(self.value(*a), *g),
-            Op::SegmentSumRows(a, g) => ops::segment_sum_rows(self.value(*a), *g),
-            Op::SegmentSumRowsVar(a, o) => ops::segment_sum_rows_var(self.value(*a), o),
-            Op::SegmentMeanRowsVar(a, o) => ops::segment_mean_rows_var(self.value(*a), o),
-            Op::RepeatRows(a, g) => ops::repeat_rows(self.value(*a), *g),
-            Op::LeakyRelu(a, slope) => ops::leaky_relu(self.value(*a), *slope),
-            Op::Relu(a) => ops::relu(self.value(*a)),
-            Op::Sigmoid(a) => ops::sigmoid(self.value(*a)),
-            Op::Tanh(a) => ops::tanh(self.value(*a)),
-            Op::Exp(a) => ops::map(self.value(*a), f32::exp),
-            Op::Ln(a) => ops::map(self.value(*a), f32::ln),
-            Op::SqrtEps(a, eps) => {
-                let eps = *eps;
-                ops::map(self.value(*a), move |x| (x + eps).sqrt())
-            }
-            Op::Square(a) => ops::map(self.value(*a), |x| x * x),
-            Op::Abs(a) => ops::map(self.value(*a), f32::abs),
-            Op::Neg(a) => ops::scale(self.value(*a), -1.0),
-            Op::Dropout(a, mask) => ops::mul(self.value(*a), mask),
-            Op::SumAll(a) => Matrix::from_vec(1, 1, vec![ops::sum_all(self.value(*a))]),
-            Op::MeanAll(a) => Matrix::from_vec(1, 1, vec![ops::mean_all(self.value(*a))]),
-            Op::SumRows(a) => ops::sum_rows(self.value(*a)),
-            Op::SumCols(a) => ops::sum_cols(self.value(*a)),
-            Op::SegmentSoftmaxCol(a, g) => ops::segment_softmax_col(self.value(*a), *g),
-            Op::Reshape(a, r, c) => self.value(*a).reshape(*r, *c),
         }
     }
 
@@ -628,11 +631,6 @@ impl Graph {
 
     // --- leaves -------------------------------------------------------------
 
-    /// A constant leaf: no gradient is tracked through it.
-    pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf, false)
-    }
-
     /// A leaf carrying a parameter's full value; its gradient is flushed back
     /// by [`Graph::grads_into`].
     pub fn param_full(&mut self, store: &ParamStore, id: ParamId) -> Var {
@@ -655,195 +653,47 @@ impl Graph {
     pub fn leaf(&mut self, value: Matrix) -> Var {
         self.push(value, Op::Leaf, true)
     }
+}
 
-    // --- ops ----------------------------------------------------------------
+/// The training tape: each op is recorded (and evaluated), and parameters
+/// bind to the [`ParamStore`] so their gradients flow back.
+impl Ops for Graph {
+    type Value = Var;
+    type Params = ParamStore;
 
-    /// `a · b`.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::MatMul(a, b))
+    fn run(&mut self, op: Op) -> Var {
+        self.record(op)
     }
 
-    /// Elementwise `a + b`.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Add(a, b))
+    fn value<'v>(&'v self, v: &'v Var) -> &'v Matrix {
+        Graph::value(self, *v)
     }
 
-    /// Elementwise `a - b`.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Sub(a, b))
+    fn constant(&mut self, value: Matrix) -> Var {
+        self.push(value, Op::Leaf, false)
     }
 
-    /// Elementwise (Hadamard) `a ⊙ b`.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        self.record(Op::Mul(a, b))
+    fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        self.param_full(store, id)
     }
 
-    /// `s · a`.
-    pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        self.record(Op::Scale(a, s))
+    fn param_rows(&mut self, store: &ParamStore, id: ParamId, rows: &[usize]) -> Var {
+        Graph::param_rows(self, store, id, Rc::new(rows.to_vec()))
     }
 
-    /// `a + s` elementwise.
-    pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        self.record(Op::AddScalar(a, s))
+    /// Gathers the named table rows onto the tape (`T × D`, so the
+    /// gradient scatters back into just those rows), then segment-sums them
+    /// and their squares.
+    fn attr_sums(&mut self, store: &ParamStore, table: ParamId, flat: Rc<Vec<usize>>, offsets: Rc<Vec<usize>>) -> (Var, Var) {
+        let v = Graph::param_rows(self, store, table, flat);
+        let sum = self.segment_sum_rows_var(v, Rc::clone(&offsets));
+        let v_sq = self.square(v);
+        let sum_sq = self.segment_sum_rows_var(v_sq, offsets);
+        (sum, sum_sq)
     }
+}
 
-    /// Adds the `1 × n` row vector `row` to every row of `a`.
-    pub fn add_row_broadcast(&mut self, a: Var, row: Var) -> Var {
-        self.record(Op::AddRowBroadcast(a, row))
-    }
-
-    /// Multiplies every row of `a` elementwise by the `1 × n` row vector.
-    pub fn mul_row_broadcast(&mut self, a: Var, row: Var) -> Var {
-        self.record(Op::MulRowBroadcast(a, row))
-    }
-
-    /// Multiplies row `i` of `a` by the scalar `col[i]` of an `m × 1` column.
-    pub fn mul_col_broadcast(&mut self, a: Var, col: Var) -> Var {
-        self.record(Op::MulColBroadcast(a, col))
-    }
-
-    /// Horizontal concatenation `[a₁; a₂; …]` along columns.
-    pub fn concat(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat of zero vars");
-        self.record(Op::Concat(parts.to_vec()))
-    }
-
-    /// Gathers rows of `a` by index (rows may repeat).
-    pub fn gather_rows(&mut self, a: Var, rows: Rc<Vec<usize>>) -> Var {
-        self.record(Op::GatherRows(a, rows))
-    }
-
-    /// Mean over each consecutive group of `g` rows.
-    pub fn segment_mean_rows(&mut self, a: Var, g: usize) -> Var {
-        self.record(Op::SegmentMeanRows(a, g))
-    }
-
-    /// Sum over each consecutive group of `g` rows.
-    pub fn segment_sum_rows(&mut self, a: Var, g: usize) -> Var {
-        self.record(Op::SegmentSumRows(a, g))
-    }
-
-    /// Sums rows over *variable-length* segments. `offsets` has `n+1`
-    /// monotone entries with `offsets[n] == a.rows()`; segment `i` covers
-    /// rows `offsets[i]..offsets[i+1]` (possibly empty → zero row).
-    ///
-    /// This is the ragged-pooling primitive for per-node attribute lists.
-    pub fn segment_sum_rows_var(&mut self, a: Var, offsets: Rc<Vec<usize>>) -> Var {
-        self.record(Op::SegmentSumRowsVar(a, offsets))
-    }
-
-    /// Means rows over variable-length segments (empty segments → zero row).
-    pub fn segment_mean_rows_var(&mut self, a: Var, offsets: Rc<Vec<usize>>) -> Var {
-        self.record(Op::SegmentMeanRowsVar(a, offsets))
-    }
-
-    /// Repeats each row `g` times.
-    pub fn repeat_rows(&mut self, a: Var, g: usize) -> Var {
-        self.record(Op::RepeatRows(a, g))
-    }
-
-    /// LeakyReLU with the given negative slope.
-    pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        self.record(Op::LeakyRelu(a, slope))
-    }
-
-    /// ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        self.record(Op::Relu(a))
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.record(Op::Sigmoid(a))
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        self.record(Op::Tanh(a))
-    }
-
-    /// Elementwise `exp`.
-    pub fn exp(&mut self, a: Var) -> Var {
-        self.record(Op::Exp(a))
-    }
-
-    /// Elementwise natural log (inputs must be positive).
-    pub fn ln(&mut self, a: Var) -> Var {
-        self.record(Op::Ln(a))
-    }
-
-    /// Elementwise `sqrt(x + eps)`; the epsilon keeps the adjoint finite at 0.
-    pub fn sqrt_eps(&mut self, a: Var, eps: f32) -> Var {
-        assert!(eps >= 0.0, "sqrt_eps: negative eps {eps}");
-        self.record(Op::SqrtEps(a, eps))
-    }
-
-    /// Elementwise square.
-    pub fn square(&mut self, a: Var) -> Var {
-        self.record(Op::Square(a))
-    }
-
-    /// Elementwise absolute value.
-    pub fn abs(&mut self, a: Var) -> Var {
-        self.record(Op::Abs(a))
-    }
-
-    /// `-a`.
-    pub fn neg(&mut self, a: Var) -> Var {
-        self.record(Op::Neg(a))
-    }
-
-    /// Inverted dropout: zeroes each element with probability `p` and scales
-    /// survivors by `1/(1-p)` so the expectation is unchanged.
-    pub fn dropout(&mut self, a: Var, p: f32, rng: &mut impl Rng) -> Var {
-        assert!((0.0..1.0).contains(&p), "dropout: p={p} outside [0,1)");
-        if p == 0.0 {
-            return a;
-        }
-        let keep = 1.0 - p;
-        let (r, c) = self.value(a).shape();
-        let mask = Matrix::from_fn(r, c, |_, _| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 });
-        self.dropout_with_mask(a, Rc::new(mask))
-    }
-
-    /// Dropout with an explicit mask (used by tests and masked-reconstruction
-    /// baselines that must reuse a mask).
-    pub fn dropout_with_mask(&mut self, a: Var, mask: Rc<Matrix>) -> Var {
-        self.record(Op::Dropout(a, mask))
-    }
-
-    /// Sum of all elements as a `1 × 1` node.
-    pub fn sum_all(&mut self, a: Var) -> Var {
-        self.record(Op::SumAll(a))
-    }
-
-    /// Mean of all elements as a `1 × 1` node.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        self.record(Op::MeanAll(a))
-    }
-
-    /// Column sums as a `1 × n` node.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        self.record(Op::SumRows(a))
-    }
-
-    /// Row sums as an `m × 1` node.
-    pub fn sum_cols(&mut self, a: Var) -> Var {
-        self.record(Op::SumCols(a))
-    }
-
-    /// Softmax over each consecutive group of `g` entries of a column vector
-    /// (attention over fixed fan-out neighborhoods).
-    pub fn segment_softmax_col(&mut self, a: Var, g: usize) -> Var {
-        self.record(Op::SegmentSoftmaxCol(a, g))
-    }
-
-    /// Reshape preserving row-major element order.
-    pub fn reshape(&mut self, a: Var, rows: usize, cols: usize) -> Var {
-        self.record(Op::Reshape(a, rows, cols))
-    }
-
+impl Graph {
     // --- backward -----------------------------------------------------------
 
     fn accum(&mut self, v: Var, delta: Matrix) {
@@ -1178,6 +1028,24 @@ mod tests {
 
     fn m(r: usize, c: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(r, c, v.to_vec())
+    }
+
+    #[test]
+    fn eval_over_matrices_gives_what_the_tape_records() {
+        let (a, b) = (m(2, 2, &[0.5, -0.0, 2.0, 0.0]), m(2, 2, &[1.5, 3.0, -1.0, 0.25]));
+        let mut g = Graph::new();
+        let (av, bv) = (g.constant(a.clone()), g.constant(b.clone()));
+        let prod = g.matmul(av, bv);
+        let gate = g.sigmoid(prod);
+        let cat = g.concat(&[gate, av]);
+        let direct = |op: Op<&Matrix>| eval(&op, |v| *v);
+        let want_prod = direct(Op::MatMul(&a, &b));
+        let want_gate = direct(Op::Sigmoid(&want_prod));
+        let want_cat = direct(Op::Concat(vec![&want_gate, &a]));
+        for (var, want) in [(prod, want_prod), (gate, want_gate), (cat, want_cat)] {
+            let bits = |x: &Matrix| x.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g.value(var)), bits(&want));
+        }
     }
 
     #[test]

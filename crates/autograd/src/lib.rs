@@ -3,7 +3,8 @@
 //! The paper's models (AGNN and its twelve baselines) are trained by plain
 //! backprop + Adam. There is no mature pure-Rust deep-learning stack we are
 //! allowed to depend on, so this crate *is* the substrate: a [`Graph`] tape
-//! of matrix ops with hand-written adjoints, a [`ParamStore`] holding the
+//! of matrix ops with hand-written adjoints, built through the [`Ops`]
+//! trait that an eager evaluator can implement too, a [`ParamStore`] holding the
 //! trainable parameters with their Adam state, an [`nn`] module with the
 //! layers every model shares (Linear / MLP / Embedding), composed [`loss`]
 //! functions (MSE, diagonal-Gaussian KL for the eVAE, row-L2 approximation
@@ -13,7 +14,7 @@
 //! # Example
 //!
 //! ```
-//! use agnn_autograd::{Graph, ParamStore, optim::Adam};
+//! use agnn_autograd::{Graph, Ops, ParamStore, optim::Adam};
 //! use agnn_tensor::Matrix;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -39,6 +40,7 @@
 //! assert!((learned[0] - 1.0).abs() < 1e-2 && (learned[1] + 1.0).abs() < 1e-2);
 //! ```
 
+pub mod forward;
 pub mod gradcheck;
 pub mod graph;
 pub mod loss;
@@ -46,5 +48,6 @@ pub mod nn;
 pub mod optim;
 pub mod param;
 
-pub use graph::{Graph, OpView, OperandInfo, ParamBinding, TapeIssue, TapeIssueKind, Var};
-pub use param::{ParamId, ParamStore};
+pub use forward::Ops;
+pub use graph::{Graph, Op, OpView, OperandInfo, ParamBinding, TapeIssue, TapeIssueKind, Var};
+pub use param::{ParamId, ParamStore, ParamTable, Registry};

@@ -4,7 +4,7 @@
 //! ops in [`crate::graph`], so their adjoints come for free and are covered
 //! by the same gradcheck machinery.
 
-use crate::{Graph, Var};
+use crate::{Graph, Ops, Var};
 
 /// Mean squared error between two `m × n` nodes.
 pub fn mse(g: &mut Graph, pred: Var, target: Var) -> Var {

@@ -1,6 +1,8 @@
-//! Neural-network building blocks shared by AGNN and every baseline.
+//! Neural-network building blocks shared by AGNN and every baseline. Each
+//! layer's forward is written once over [`Ops`], so it runs on the training
+//! tape and in the serving engine alike.
 
-use crate::{Graph, ParamId, ParamStore, Var};
+use crate::{Graph, Ops, ParamId, ParamStore, Registry, Var};
 use agnn_tensor::{init, Matrix};
 use rand::Rng;
 use std::rc::Rc;
@@ -21,14 +23,14 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation on the tape.
-    pub fn apply(self, g: &mut Graph, x: Var) -> Var {
+    /// Applies the activation.
+    pub fn apply<O: Ops>(self, o: &mut O, x: O::Value) -> O::Value {
         match self {
             Activation::Identity => x,
-            Activation::Relu => g.relu(x),
-            Activation::LeakyRelu(slope) => g.leaky_relu(x, slope),
-            Activation::Sigmoid => g.sigmoid(x),
-            Activation::Tanh => g.tanh(x),
+            Activation::Relu => o.relu(x),
+            Activation::LeakyRelu(slope) => o.leaky_relu(x, slope),
+            Activation::Sigmoid => o.sigmoid(x),
+            Activation::Tanh => o.tanh(x),
         }
     }
 }
@@ -46,15 +48,15 @@ pub struct Linear {
 
 impl Linear {
     /// Registers a Xavier-initialized layer in `store`.
-    pub fn new(store: &mut ParamStore, name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        let w = store.add(format!("{name}.w"), init::xavier_uniform(in_dim, out_dim, rng));
-        let b = Some(store.add(format!("{name}.b"), Matrix::zeros(1, out_dim)));
+    pub fn new(store: &mut impl Registry, name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+        let w = store.register(format!("{name}.w"), in_dim, out_dim, || init::xavier_uniform(in_dim, out_dim, rng));
+        let b = Some(store.register(format!("{name}.b"), 1, out_dim, || Matrix::zeros(1, out_dim)));
         Self { w, b, in_dim, out_dim }
     }
 
     /// Registers a bias-free layer.
-    pub fn new_no_bias(store: &mut ParamStore, name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        let w = store.add(format!("{name}.w"), init::xavier_uniform(in_dim, out_dim, rng));
+    pub fn new_no_bias(store: &mut impl Registry, name: &str, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+        let w = store.register(format!("{name}.w"), in_dim, out_dim, || init::xavier_uniform(in_dim, out_dim, rng));
         Self { w, b: None, in_dim, out_dim }
     }
 
@@ -68,21 +70,16 @@ impl Linear {
         self.out_dim
     }
 
-    /// Applies the layer to a `batch × in` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
-        assert_eq!(
-            g.value(x).cols(),
-            self.in_dim,
-            "Linear::forward: input width {} != layer in_dim {}",
-            g.value(x).cols(),
-            self.in_dim
-        );
-        let w = g.param_full(store, self.w);
-        let wx = g.matmul(x, w);
+    /// Applies the layer to a `batch × in` value.
+    pub fn forward<O: Ops>(&self, o: &mut O, params: &O::Params, x: O::Value) -> O::Value {
+        let width = o.value(&x).cols();
+        assert_eq!(width, self.in_dim, "Linear::forward: input width {width} != layer in_dim {}", self.in_dim);
+        let w = o.param(params, self.w);
+        let wx = o.matmul(x, w);
         match self.b {
             Some(b) => {
-                let bv = g.param_full(store, b);
-                g.add_row_broadcast(wx, bv)
+                let bv = o.param(params, b);
+                o.add_row_broadcast(wx, bv)
             }
             None => wx,
         }
@@ -103,7 +100,7 @@ pub struct Mlp {
 impl Mlp {
     /// Builds an MLP with the given layer widths, e.g. `[in, hidden, out]`.
     pub fn new(
-        store: &mut ParamStore,
+        store: &mut impl Registry,
         name: &str,
         dims: &[usize],
         hidden_activation: Activation,
@@ -135,14 +132,14 @@ impl Mlp {
     }
 
     /// Applies every layer.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, mut x: Var) -> Var {
+    pub fn forward<O: Ops>(&self, o: &mut O, params: &O::Params, mut x: O::Value) -> O::Value {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.forward(g, store, x);
+            x = layer.forward(o, params, x);
             x = if i < last {
-                self.hidden_activation.apply(g, x)
+                self.hidden_activation.apply(o, x)
             } else {
-                self.output_activation.apply(g, x)
+                self.output_activation.apply(o, x)
             };
         }
         x
@@ -160,16 +157,16 @@ pub struct Embedding {
 
 impl Embedding {
     /// Registers a table initialized `N(0, 0.1)`.
-    pub fn new(store: &mut ParamStore, name: &str, rows: usize, dim: usize, rng: &mut impl Rng) -> Self {
-        let table = store.add(name, init::normal(rows, dim, 0.1, rng));
+    pub fn new(store: &mut impl Registry, name: &str, rows: usize, dim: usize, rng: &mut impl Rng) -> Self {
+        let table = store.register(name.into(), rows, dim, || init::normal(rows, dim, 0.1, rng));
         Self { table, rows, dim }
     }
 
     /// Registers a zero-initialized table. Use for bias tables: rows that
     /// never train (strict cold start nodes) then contribute exactly
     /// nothing instead of frozen noise.
-    pub fn new_zeros(store: &mut ParamStore, name: &str, rows: usize, dim: usize) -> Self {
-        let table = store.add(name, Matrix::zeros(rows, dim));
+    pub fn new_zeros(store: &mut impl Registry, name: &str, rows: usize, dim: usize) -> Self {
+        let table = store.register(name.into(), rows, dim, || Matrix::zeros(rows, dim));
         Self { table, rows, dim }
     }
 

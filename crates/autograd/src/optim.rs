@@ -99,6 +99,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ops;
     use crate::{loss, Graph};
     use agnn_tensor::Matrix;
 

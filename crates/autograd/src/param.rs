@@ -1,6 +1,8 @@
-//! Trainable parameters with their gradient and Adam state.
+//! Trainable parameters with their gradient and Adam state, and the
+//! registration interface layer constructors declare them through.
 
 use agnn_tensor::{ops, Matrix};
+use std::sync::Arc;
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -17,6 +19,37 @@ pub(crate) struct Param {
     /// Frozen parameters keep their gradient but are skipped by optimizers
     /// (used by meta-learning baselines during adaptation phases).
     frozen: bool,
+}
+
+/// Where layer constructors declare their parameters. A [`ParamStore`]
+/// initialises each one for training; a forward-only loader instead looks
+/// it up by name and checks it has the declared shape, filling a
+/// [`ParamTable`].
+pub trait Registry {
+    /// Declares the `rows × cols` parameter `name`; `init` draws its initial
+    /// value (a loader does not call it).
+    fn register(&mut self, name: String, rows: usize, cols: usize, init: impl FnOnce() -> Matrix) -> ParamId;
+}
+
+/// Parameter values by [`ParamId`], with no gradient or optimizer state:
+/// what a forward-only consumer holds. Values are shared, so forwards on
+/// any number of threads read them without copying.
+#[derive(Default)]
+pub struct ParamTable {
+    values: Vec<Arc<Matrix>>,
+}
+
+impl ParamTable {
+    /// Appends a value and returns its handle.
+    pub fn push(&mut self, value: Matrix) -> ParamId {
+        self.values.push(Arc::new(value));
+        ParamId(self.values.len() - 1)
+    }
+
+    /// The value behind `id`.
+    pub fn value(&self, id: ParamId) -> &Arc<Matrix> {
+        &self.values[id.0]
+    }
 }
 
 /// Owns every trainable matrix of a model plus per-parameter optimizer state.
@@ -148,6 +181,14 @@ impl ParamStore {
 
 }
 
+impl Registry for ParamStore {
+    fn register(&mut self, name: String, rows: usize, cols: usize, init: impl FnOnce() -> Matrix) -> ParamId {
+        let value = init();
+        assert_eq!(value.shape(), (rows, cols), "register: `{name}` initialised as {:?}", value.shape());
+        self.add(name, value)
+    }
+}
+
 impl Param {
     pub(crate) fn is_frozen(&self) -> bool {
         self.frozen
@@ -207,6 +248,15 @@ mod tests {
         // Clipping below the cap is a no-op.
         s.clip_grad_norm(10.0);
         assert!((s.grad_norm() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "`w` initialised as (2, 3)")]
+    fn registration_checks_the_declared_shape() {
+        let mut s = ParamStore::new();
+        let id = s.register("b".into(), 1, 3, || Matrix::zeros(1, 3));
+        assert_eq!(s.value(id).shape(), (1, 3));
+        s.register("w".into(), 3, 2, || Matrix::zeros(2, 3));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! f32 arithmetic limits precision, so eps/tol are chosen accordingly.
 
 use agnn_autograd::gradcheck::check_all_params;
-use agnn_autograd::{loss, Graph, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamStore, Var};
 use agnn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -4,7 +4,7 @@
 
 use agnn_autograd::nn::{Activation, Mlp};
 use agnn_autograd::optim::{Adam, Sgd};
-use agnn_autograd::{loss, Graph, ParamStore};
+use agnn_autograd::{loss, Graph, Ops, ParamStore};
 use agnn_tensor::{init, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

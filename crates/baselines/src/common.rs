@@ -2,7 +2,7 @@
 //! degree bookkeeping, and a common hyper-parameter bundle.
 
 use agnn_autograd::nn::Embedding;
-use agnn_autograd::{Graph, ParamId, ParamStore, Var};
+use agnn_autograd::{Graph, Ops, ParamId, ParamStore, Var};
 use agnn_core::interaction::AttrLists;
 use agnn_tensor::{init, Matrix};
 use rand::Rng;

@@ -10,7 +10,7 @@
 
 use crate::common::{batch_neighbors, knn_pools, rowwise_dot, warm_col, AttrEmbed, BaselineConfig, BiasTerms, Degrees};
 use agnn_autograd::nn::Embedding;
-use agnn_autograd::{loss, Graph, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamStore, Var};
 use agnn_core::interaction::AttrLists;
 use agnn_core::model::{RatingModel, TrainReport};
 use agnn_data::batch::unzip_batch;

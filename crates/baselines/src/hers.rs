@@ -13,7 +13,7 @@
 
 use crate::common::{batch_neighbors, knn_pools, rowwise_dot, warm_col, BaselineConfig, BiasTerms, Degrees};
 use agnn_autograd::nn::{Embedding, Linear};
-use agnn_autograd::{loss, Graph, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamStore, Var};
 use agnn_core::model::{RatingModel, TrainReport};
 use agnn_data::batch::unzip_batch;
 use agnn_data::{Dataset, Split};

@@ -13,7 +13,7 @@
 use crate::common::{AttrEmbed, BaselineConfig};
 use crate::gcmc::rated_neighbor_ids;
 use agnn_autograd::nn::{Activation, Mlp};
-use agnn_autograd::{loss, Graph, ParamId, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamId, ParamStore, Var};
 use agnn_core::interaction::AttrLists;
 use agnn_core::model::{RatingModel, TrainReport};
 use agnn_data::batch::unzip_batch;

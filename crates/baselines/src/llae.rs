@@ -12,7 +12,7 @@
 
 use crate::common::BaselineConfig;
 use agnn_autograd::nn::Linear;
-use agnn_autograd::{loss, Graph, ParamStore};
+use agnn_autograd::{loss, Graph, Ops, ParamStore};
 use agnn_core::model::{EpochLosses, RatingModel, TrainReport};
 use agnn_data::{Dataset, Split};
 use agnn_tensor::{Matrix, SparseVec};

@@ -14,7 +14,7 @@
 use crate::common::{AttrEmbed, BaselineConfig, Degrees};
 use crate::mf::BiasedMf;
 use agnn_autograd::nn::{Activation, Mlp};
-use agnn_autograd::{loss, Graph, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamStore, Var};
 use agnn_core::evae::blend_preference;
 use agnn_core::interaction::AttrLists;
 use agnn_core::model::{EpochLosses, RatingModel, TrainReport};

@@ -12,7 +12,7 @@
 
 use crate::common::{rowwise_dot, AttrEmbed, BaselineConfig, BiasTerms, Degrees};
 use agnn_autograd::nn::Embedding;
-use agnn_autograd::{loss, Graph, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamStore, Var};
 use agnn_core::interaction::AttrLists;
 use agnn_core::model::{RatingModel, TrainReport};
 use agnn_data::batch::unzip_batch;

@@ -3,7 +3,7 @@
 
 use crate::common::{rowwise_dot, BaselineConfig, BiasTerms};
 use agnn_autograd::nn::Embedding;
-use agnn_autograd::{loss, Graph, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamStore, Var};
 use agnn_data::batch::unzip_batch;
 use agnn_data::Split;
 use agnn_train::{HookList, StepLosses, Trainer};

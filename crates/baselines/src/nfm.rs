@@ -10,7 +10,7 @@
 
 use crate::common::{BaselineConfig, Degrees};
 use agnn_autograd::nn::{Activation, Mlp};
-use agnn_autograd::{loss, Graph, ParamId, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamId, ParamStore, Var};
 use agnn_core::model::{RatingModel, TrainReport};
 use agnn_data::batch::unzip_batch;
 use agnn_data::{Dataset, Split};

@@ -13,7 +13,7 @@
 
 use crate::common::{rowwise_dot, AttrEmbed, BaselineConfig, BiasTerms, Degrees};
 use agnn_autograd::nn::{Embedding, Linear};
-use agnn_autograd::{loss, Graph, ParamId, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamId, ParamStore, Var};
 use agnn_core::evae::EVae;
 use agnn_core::interaction::AttrLists;
 use agnn_core::model::{RatingModel, TrainReport};

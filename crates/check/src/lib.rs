@@ -334,6 +334,7 @@ impl AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agnn_autograd::Ops;
     use agnn_tensor::Matrix;
 
     fn m(r: usize, c: usize, v: f32) -> Matrix {

@@ -9,6 +9,7 @@ use agnn_core::{Agnn, AgnnConfig};
 use agnn_data::{ColdStartKind, Dataset, Preset, Split, SplitConfig};
 use agnn_obs::Field;
 use agnn_train::{EarlyStopping, HookList, LossLogger, OpProfiler, PreflightAudit};
+use agnn_autograd::Ops;
 
 /// CLI failure.
 #[derive(Debug)]
@@ -723,8 +724,8 @@ fn report_json(r: &agnn_check::AuditReport) -> Field {
 }
 
 /// `agnn lint` — source-level invariant analysis over the workspace
-/// (DESIGN.md §5b8): rayon and float-determinism discipline, the
-/// telemetry-name registry, and serve-path panic safety.
+/// (DESIGN.md §5b8): the telemetry-name registry and serve-path panic
+/// safety.
 ///
 /// `--root <dir>` points at the workspace checkout (default `.`), `--json`
 /// renders the machine-readable report instead of the table, and

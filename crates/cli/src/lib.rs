@@ -19,8 +19,8 @@
 //! it exits non-zero on any error-severity finding.
 //!
 //! `lint` is `check`'s source-tree counterpart (see `agnn-lint` and
-//! DESIGN.md §5b8): it enforces rayon and float-determinism discipline,
-//! the telemetry-name registry, and serve-path panic safety,
+//! DESIGN.md §5b8): it enforces the telemetry-name registry and
+//! serve-path panic safety,
 //! and exits non-zero on any violation not carrying a justified
 //! `// lint:allow(<rule>): <why>` comment.
 //!

@@ -1,13 +1,19 @@
 //! The full AGNN model: fit / predict over every variant of Tables 3–4.
+//!
+//! [`AgnnModules`] (one [`AgnnSide`] per side plus the prediction layer)
+//! writes the eval forward once, over [`Ops`]: `Agnn` runs it on the
+//! training tape and `agnn-infer` in its tape-free engine. The eval protocol
+//! both follow is [`EVAL_CHUNK`], [`EVAL_NEIGHBORHOOD_SAMPLES`] and
+//! [`eval_rng`].
 
-use crate::config::{AgnnConfig, ColdStartModule, GnnKind, GraphKind};
+use crate::config::{AgnnConfig, ColdStartModule, GraphKind};
 use crate::evae::{blend_preference, warm_mask, EVae};
 use crate::gnn::GnnLayer;
 use crate::interaction::{AttrInteraction, AttrLists};
 use crate::model::{RatingModel, TrainReport};
 use crate::snapshot::{ModelSnapshot, ParamEntry, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 use agnn_autograd::nn::{Activation, Embedding, Linear, Mlp};
-use agnn_autograd::{loss, Graph, ParamId, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamId, ParamStore, Registry, Var};
 use agnn_data::batch::unzip_batch;
 use agnn_data::{Dataset, Degrees, Split};
 use agnn_train::{HookList, StepLosses, Trainer};
@@ -18,8 +24,24 @@ use rand::{Rng, SeedableRng};
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Per-side (user or item) modules.
-struct SideModules {
+/// Pairs per eval chunk; every pass of the neighborhood ensemble runs over
+/// one chunk at a time.
+pub const EVAL_CHUNK: usize = 512;
+
+/// Sampled-neighborhood passes the eval ensemble averages in beside the
+/// deterministic top-proximity pass. Dynamic neighborhood sampling is part
+/// of the model (§3.3.1); averaging a few draws de-noises exactly the
+/// variance it introduces.
+pub const EVAL_NEIGHBORHOOD_SAMPLES: usize = 3;
+
+/// The rng behind an eval call's sampled passes: a fixed seed, so repeated
+/// calls agree exactly.
+pub fn eval_rng(cfg: &AgnnConfig) -> StdRng {
+    StdRng::seed_from_u64(cfg.seed ^ 0x5eed)
+}
+
+/// One side's (user or item) modules.
+pub struct AgnnSide {
     emb: Embedding,
     attr: AttrInteraction,
     fuse: Linear,
@@ -30,14 +52,18 @@ struct SideModules {
     mask_token: Option<ParamId>,
     /// Post-GNN reconstruction decoder for the Mask replacement.
     mask_decoder: Option<Linear>,
-    /// Stacked aggregators, outermost hop first (paper: one layer).
+    /// Stacked aggregators, outermost hop first (paper: one layer; none for
+    /// the no-GNN variant).
     gnn: Vec<GnnLayer>,
     bias: Embedding,
 }
 
-struct Modules {
-    user: SideModules,
-    item: SideModules,
+/// AGNN's modules: both sides and the prediction layer (Eq. 14).
+pub struct AgnnModules {
+    /// User-side modules.
+    pub user: AgnnSide,
+    /// Item-side modules.
+    pub item: AgnnSide,
     pred_mlp: Mlp,
     global_bias: ParamId,
 }
@@ -45,7 +71,7 @@ struct Modules {
 /// Everything `predict` needs after training.
 struct Fitted {
     store: ParamStore,
-    modules: Modules,
+    modules: AgnnModules,
     user_pools: CandidatePools,
     item_pools: CandidatePools,
     user_attrs: AttrLists,
@@ -87,26 +113,16 @@ struct SideEmbedding {
     masked_rows: Vec<f32>,
 }
 
-impl Agnn {
-    /// Creates an unfitted model; panics on an inconsistent config.
-    pub fn new(cfg: AgnnConfig) -> Self {
-        cfg.validate();
-        Self { cfg, fitted: None }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AgnnConfig {
-        &self.cfg
-    }
-
-    fn build_side(
-        store: &mut ParamStore,
+impl AgnnSide {
+    /// Registers one side's parameters, in a fixed order.
+    fn build(
+        store: &mut impl Registry,
         name: &str,
         n_nodes: usize,
         attr_dim: usize,
         cfg: &AgnnConfig,
         rng: &mut StdRng,
-    ) -> SideModules {
+    ) -> Self {
         let d = cfg.embed_dim;
         let evae = match cfg.variant.cold {
             ColdStartModule::EVae | ColdStartModule::Vae => {
@@ -123,13 +139,13 @@ impl Agnn {
         };
         let (mask_token, mask_decoder) = if cfg.variant.cold == ColdStartModule::Mask {
             (
-                Some(store.add(format!("{name}.mask_token"), agnn_tensor::init::normal(1, d, 0.1, rng))),
+                Some(store.register(format!("{name}.mask_token"), 1, d, || agnn_tensor::init::normal(1, d, 0.1, rng))),
                 Some(Linear::new(store, &format!("{name}.mask_dec"), d, d, rng)),
             )
         } else {
             (None, None)
         };
-        SideModules {
+        AgnnSide {
             emb: Embedding::new(store, &format!("{name}.pref"), n_nodes, d, rng),
             attr: AttrInteraction::new(store, &format!("{name}.attr"), attr_dim, d, cfg.leaky_slope, rng),
             fuse: Linear::new(store, &format!("{name}.fuse"), 2 * d, d, rng),
@@ -137,23 +153,205 @@ impl Agnn {
             llae,
             mask_token,
             mask_decoder,
-            gnn: (0..cfg.gnn_layers)
+            gnn: (0..cfg.gnn_hops())
                 .map(|l| GnnLayer::new(store, &format!("{name}.gnn{l}"), d, cfg.variant.gnn, cfg.leaky_slope, rng))
                 .collect(),
             bias: Embedding::new_zeros(store, &format!("{name}.bias"), n_nodes, 1),
         }
     }
 
-    /// Embeds a node batch on one side: looks up preference embeddings,
-    /// computes attribute embeddings, substitutes generated preference for
-    /// cold (and, in Mask/Dropout training, sabotaged) rows, and fuses
-    /// (Eq. 5). Loss terms are only emitted when `contribute_losses`.
+    /// The attribute-value embedding table.
+    pub fn attr_table(&self) -> ParamId {
+        self.attr.table
+    }
+
+    /// Whether a pass draws neighbors from the rng: only sampled passes of
+    /// dynamic-graph variants with a GNN hop do. Every other pass takes the
+    /// deterministic top-proximity neighbors.
+    pub fn draws_rng(&self, cfg: &AgnnConfig, sample: bool) -> bool {
+        sample && !self.gnn.is_empty() && matches!(cfg.variant.graph, GraphKind::Dynamic(_) | GraphKind::CoPurchase)
+    }
+
+    /// Pre-GNN embedding of a node batch at eval (Eq. 5): preference rows,
+    /// attribute interaction, the cold-start module's substitute on cold
+    /// rows, fuse.
+    pub fn embed<O: Ops>(
+        &self,
+        o: &mut O,
+        params: &O::Params,
+        cfg: &AgnnConfig,
+        attrs: &AttrLists,
+        cold: &[bool],
+        nodes: &[usize],
+    ) -> O::Value {
+        let m = o.param_rows(params, self.emb.table, nodes);
+        let x = self.attr.forward(o, params, attrs, nodes);
+        let generated = self.cold_substitute(o, params, cfg, x.clone(), nodes.len());
+        self.fuse_rows(o, params, m, generated, &warm_mask(cold, nodes), x)
+    }
+
+    /// The rows the cold-start module substitutes for a preference
+    /// embedding at eval. `None` and `Dropout` both substitute zeros
+    /// (dropout never fires at eval); `Mask` its learned token.
+    fn cold_substitute<O: Ops>(&self, o: &mut O, params: &O::Params, cfg: &AgnnConfig, x: O::Value, n: usize) -> O::Value {
+        match cfg.variant.cold {
+            ColdStartModule::EVae | ColdStartModule::Vae => {
+                self.evae.as_ref().expect("evae built").generate(o, params, x)
+            }
+            ColdStartModule::None | ColdStartModule::Dropout => o.constant(Matrix::zeros(n, cfg.embed_dim)),
+            ColdStartModule::Mask => {
+                let token = o.param(params, self.mask_token.expect("mask token built"));
+                let zeros = o.constant(Matrix::zeros(n, cfg.embed_dim));
+                o.add_row_broadcast(zeros, token)
+            }
+            ColdStartModule::Llae | ColdStartModule::LlaePlus => {
+                let (enc, dec) = self.llae.as_ref().expect("llae built");
+                let z = enc.forward(o, params, x);
+                dec.forward(o, params, z)
+            }
+        }
+    }
+
+    /// Eq. 5: keeps the preference rows `m` where `warm` is 1 and the
+    /// generated ones elsewhere, then fuses them with the attribute
+    /// embedding `x`.
+    fn fuse_rows<O: Ops>(
+        &self,
+        o: &mut O,
+        params: &O::Params,
+        m: O::Value,
+        generated: O::Value,
+        warm: &[f32],
+        x: O::Value,
+    ) -> O::Value {
+        let m_used = blend_preference(o, m, generated, warm);
+        let cat = o.concat(&[m_used, x]);
+        self.fuse.forward(o, params, cat)
+    }
+
+    /// Draws the neighborhood levels of a node batch: level 0 is the batch,
+    /// level `l + 1` holds `fanout` neighbor ids per level-`l` row, in row
+    /// order. Sampled from the pools when [`AgnnSide::draws_rng`], else the
+    /// top-proximity neighbors, which read no rng.
+    pub fn draw_levels(
+        &self,
+        cfg: &AgnnConfig,
+        pools: &CandidatePools,
+        nodes: &[usize],
+        sample: bool,
+        rng: &mut impl Rng,
+    ) -> Vec<Vec<usize>> {
+        let sampled = self.draws_rng(cfg, sample);
+        let mut levels: Vec<Vec<usize>> = vec![nodes.to_vec()];
+        for _ in 0..self.gnn.len() {
+            // invariant: levels is seeded with one entry before the loop
+            let frontier = levels.last().expect("non-empty");
+            let mut ids = Vec::with_capacity(frontier.len() * cfg.fanout);
+            for &node in frontier {
+                if sampled {
+                    pools.sample_neighbors_into(node as u32, cfg.fanout, rng, &mut ids);
+                } else {
+                    ids.extend(pools.top_neighbors(node as u32, cfg.fanout));
+                }
+            }
+            levels.push(ids);
+        }
+        levels
+    }
+
+    /// Aggregates drawn levels into the level-0 `target` embeddings,
+    /// deepest hop first, so each hop sees its children's aggregated state
+    /// (GraphSAGE-style). `deeper[l]` holds level `l + 1`'s ids and `embed`
+    /// gives a level's pre-GNN embedding.
+    pub fn fold_hops<O: Ops, L: AsRef<[usize]>>(
+        &self,
+        o: &mut O,
+        params: &O::Params,
+        fanout: usize,
+        target: O::Value,
+        deeper: &[L],
+        mut embed: impl FnMut(&mut O, &[usize]) -> O::Value,
+    ) -> O::Value {
+        let Some(deepest) = deeper.last() else { return target };
+        let hops = deeper.len();
+        let mut h = embed(o, deepest.as_ref());
+        for l in (1..hops).rev() {
+            let level = embed(o, deeper[l - 1].as_ref());
+            h = self.gnn[hops - 1 - l].forward(o, params, level, h, fanout);
+        }
+        self.gnn[hops - 1].forward(o, params, target, h, fanout)
+    }
+}
+
+impl AgnnModules {
+    /// Registers every parameter, in the fixed order the snapshot lists
+    /// them: the user side, the item side, the prediction MLP, the global
+    /// bias (initialised to `rating_mean`). A side is `(nodes, attribute
+    /// encoding dim)`.
+    pub fn build(
+        store: &mut impl Registry,
+        cfg: &AgnnConfig,
+        users: (usize, usize),
+        items: (usize, usize),
+        rating_mean: f32,
+        rng: &mut StdRng,
+    ) -> Self {
+        let user = AgnnSide::build(store, "user", users.0, users.1, cfg, rng);
+        let item = AgnnSide::build(store, "item", items.0, items.1, cfg, rng);
+        let d = cfg.embed_dim;
+        let pred_mlp = Mlp::new(store, "pred", &[2 * d, d, 1], Activation::LeakyRelu(cfg.leaky_slope), rng);
+        let global_bias = store.register("global_bias".into(), 1, 1, || Matrix::full(1, 1, rating_mean));
+        Self { user, item, pred_mlp, global_bias }
+    }
+
+    /// Prediction layer (Eq. 14) on aggregated embeddings:
+    /// `MLP([p; q]) + p·qᵀ + b_u + b_i + μ`, one `B × 1` score column.
+    pub fn predict<O: Ops>(
+        &self,
+        o: &mut O,
+        params: &O::Params,
+        p_user: O::Value,
+        q_item: O::Value,
+        users: &[usize],
+        items: &[usize],
+    ) -> O::Value {
+        let cat = o.concat(&[p_user.clone(), q_item.clone()]);
+        let mlp_out = self.pred_mlp.forward(o, params, cat); // B × 1
+        let prod = o.mul(p_user, q_item);
+        let dot = o.sum_cols(prod); // B × 1
+        let bu = o.param_rows(params, self.user.bias.table, users);
+        let bi = o.param_rows(params, self.item.bias.table, items);
+        let mu = o.param(params, self.global_bias);
+        let mu_rows = o.repeat_rows(mu, users.len());
+        let s1 = o.add(mlp_out, dot);
+        let s2 = o.add(bu, bi);
+        let s3 = o.add(s1, s2);
+        o.add(s3, mu_rows)
+    }
+}
+
+impl Agnn {
+    /// Creates an unfitted model; panics on an inconsistent config.
+    pub fn new(cfg: AgnnConfig) -> Self {
+        cfg.validate();
+        Self { cfg, fitted: None }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &AgnnConfig {
+        &self.cfg
+    }
+
+    /// Embeds a node batch on one side. At eval this is
+    /// [`AgnnSide::embed`]; in training the cold-start module also
+    /// sabotages warm rows (Mask/Dropout) or samples (eVAE), and emits its
+    /// loss terms when `contribute_losses`.
     #[allow(clippy::too_many_arguments)]
     fn embed_nodes(
         cfg: &AgnnConfig,
         g: &mut Graph,
         store: &ParamStore,
-        side: &SideModules,
+        side: &AgnnSide,
         attrs: &AttrLists,
         cold: &[bool],
         nodes: &[usize],
@@ -162,85 +360,70 @@ impl Agnn {
         rng: &mut StdRng,
     ) -> SideEmbedding {
         let n = nodes.len();
+        let mut losses = SideLosses { terms: Vec::new() };
+        let mut masked_rows = vec![0.0; n];
+        if !train {
+            return SideEmbedding { p: side.embed(g, store, cfg, attrs, cold, nodes), losses, masked_rows };
+        }
         let m = side.emb.lookup(g, store, Rc::new(nodes.to_vec()));
         let x = side.attr.forward(g, store, attrs, nodes);
         let warm = warm_mask(cold, nodes);
-        let mut losses = SideLosses { terms: Vec::new() };
-        let mut masked_rows = vec![0.0; n];
-
-        let m_used = match cfg.variant.cold {
+        // Mask/Dropout training: drop warm rows at `mask_rate`.
+        let sabotage = |rng: &mut StdRng| -> Vec<f32> {
+            warm.iter().map(|&w| if w == 1.0 && rng.gen::<f32>() < cfg.mask_rate { 0.0 } else { w }).collect()
+        };
+        let (generated, effective) = match cfg.variant.cold {
             ColdStartModule::EVae | ColdStartModule::Vae => {
                 let evae = side.evae.as_ref().expect("evae built");
-                if train {
-                    let out = evae.forward_train(g, store, x, rng);
-                    if contribute_losses {
-                        losses.terms.push((EVAE_WEIGHTS.0, out.kl));
-                        losses.terms.push((EVAE_WEIGHTS.1, out.recon_nll));
-                        if cfg.variant.cold == ColdStartModule::EVae {
-                            let approx = EVae::approximation_loss(g, out.recon, m, &warm);
-                            losses.terms.push((EVAE_WEIGHTS.2, approx));
-                        }
+                let out = evae.forward_train(g, store, x, rng);
+                if contribute_losses {
+                    losses.terms.push((EVAE_WEIGHTS.0, out.kl));
+                    losses.terms.push((EVAE_WEIGHTS.1, out.recon_nll));
+                    if cfg.variant.cold == ColdStartModule::EVae {
+                        let approx = EVae::approximation_loss(g, out.recon, m, &warm);
+                        losses.terms.push((EVAE_WEIGHTS.2, approx));
                     }
-                    blend_preference(g, m, out.recon, &warm)
-                } else {
-                    let gen = evae.generate(g, store, x);
-                    blend_preference(g, m, gen, &warm)
                 }
+                (out.recon, warm.clone())
             }
-            ColdStartModule::None => {
-                let zeros = g.constant(Matrix::zeros(n, cfg.embed_dim));
-                blend_preference(g, m, zeros, &warm)
-            }
+            ColdStartModule::None => (side.cold_substitute(g, store, cfg, x, n), warm.clone()),
             ColdStartModule::Dropout => {
-                let effective: Vec<f32> = warm
-                    .iter()
-                    .map(|&w| if train && w == 1.0 && rng.gen::<f32>() < cfg.mask_rate { 0.0 } else { w })
-                    .collect();
-                let zeros = g.constant(Matrix::zeros(n, cfg.embed_dim));
-                blend_preference(g, m, zeros, &effective)
+                let effective = sabotage(rng);
+                (side.cold_substitute(g, store, cfg, x, n), effective)
             }
             ColdStartModule::Mask => {
-                let token_id = side.mask_token.expect("mask token built");
-                let token = g.param_full(store, token_id);
-                let zeros = g.constant(Matrix::zeros(n, cfg.embed_dim));
-                let token_rows = g.add_row_broadcast(zeros, token);
-                let effective: Vec<f32> = warm
-                    .iter()
-                    .map(|&w| if train && contribute_losses && w == 1.0 && rng.gen::<f32>() < cfg.mask_rate { 0.0 } else { w })
-                    .collect();
+                let token_rows = side.cold_substitute(g, store, cfg, x, n);
+                let effective = if contribute_losses { sabotage(rng) } else { warm.clone() };
                 for (i, (&e, &w)) in effective.iter().zip(&warm).enumerate() {
                     if w == 1.0 && e == 0.0 {
                         masked_rows[i] = 1.0;
                     }
                 }
-                blend_preference(g, m, token_rows, &effective)
+                (token_rows, effective)
             }
             ColdStartModule::Llae | ColdStartModule::LlaePlus => {
-                let (enc, dec) = side.llae.as_ref().expect("llae built");
-                let z = enc.forward(g, store, x);
-                let gen = dec.forward(g, store, z);
-                if train && contribute_losses {
+                let gen = side.cold_substitute(g, store, cfg, x, n);
+                if contribute_losses {
                     // Denoising-AE reconstruction toward the preference
                     // embedding, masked to warm rows.
                     let approx = EVae::approximation_loss(g, gen, m, &warm);
                     losses.terms.push((EVAE_WEIGHTS.2, approx));
                 }
-                blend_preference(g, m, gen, &warm)
+                (gen, warm.clone())
             }
         };
-
-        let cat = g.concat(&[m_used, x]);
-        let p = side.fuse.forward(g, store, cat);
-        SideEmbedding { p, losses, masked_rows }
+        SideEmbedding { p: side.fuse_rows(g, store, m, generated, &effective, x), losses, masked_rows }
     }
 
-    /// Embeds targets, samples + embeds neighborhoods, aggregates.
+    /// Embeds targets, draws + embeds neighborhoods, aggregates. Returns the
+    /// aggregated rows, the targets' loss terms and masked rows, and the
+    /// targets' pre-GNN rows.
     #[allow(clippy::too_many_arguments)]
     fn side_forward(
         cfg: &AgnnConfig,
         g: &mut Graph,
         store: &ParamStore,
-        side: &SideModules,
+        side: &AgnnSide,
         attrs: &AttrLists,
         pools: &CandidatePools,
         cold: &[bool],
@@ -250,69 +433,11 @@ impl Agnn {
         rng: &mut StdRng,
     ) -> (Var, SideLosses, Vec<f32>, Var) {
         let target = Self::embed_nodes(cfg, g, store, side, attrs, cold, nodes, train, train, rng);
-        if cfg.variant.gnn == GnnKind::None {
-            let p_initial = target.p;
-            return (target.p, target.losses, target.masked_rows, p_initial);
-        }
-        let dynamic = matches!(cfg.variant.graph, GraphKind::Dynamic(_) | GraphKind::CoPurchase);
-        let draw = |frontier: &[usize], rng: &mut StdRng| {
-            let mut ids = Vec::with_capacity(frontier.len() * cfg.fanout);
-            for &node in frontier {
-                if sample_neighborhoods && dynamic {
-                    pools.sample_neighbors_into(node as u32, cfg.fanout, rng, &mut ids);
-                } else {
-                    ids.extend(pools.top_neighbors(node as u32, cfg.fanout));
-                }
-            }
-            ids
-        };
-        // Multi-hop receptive field: level 0 = targets, level l+1 =
-        // neighbors of level l. Aggregation runs deepest-first so each hop
-        // sees its children's aggregated state (GraphSAGE-style).
-        let hops = side.gnn.len();
-        let mut levels: Vec<Vec<usize>> = vec![nodes.to_vec()];
-        for _ in 0..hops {
-            let next = draw(levels.last().expect("non-empty"), rng);
-            levels.push(next);
-        }
-        let mut h = Self::embed_nodes(cfg, g, store, side, attrs, cold, &levels[hops], train, false, rng).p;
-        let mut p_initial = target.p;
-        for l in (0..hops).rev() {
-            let level_target = if l == 0 {
-                target.p
-            } else {
-                Self::embed_nodes(cfg, g, store, side, attrs, cold, &levels[l], train, false, rng).p
-            };
-            if l == 0 {
-                p_initial = level_target;
-            }
-            h = side.gnn[hops - 1 - l].forward(g, store, level_target, h, cfg.fanout);
-        }
-        (h, target.losses, target.masked_rows, p_initial)
-    }
-
-    /// Prediction layer (Eq. 14) on aggregated embeddings.
-    fn predict_scores(
-        g: &mut Graph,
-        store: &ParamStore,
-        modules: &Modules,
-        p_user: Var,
-        q_item: Var,
-        users: &[usize],
-        items: &[usize],
-    ) -> Var {
-        let cat = g.concat(&[p_user, q_item]);
-        let mlp_out = modules.pred_mlp.forward(g, store, cat); // B × 1
-        let prod = g.mul(p_user, q_item);
-        let dot = g.sum_cols(prod); // B × 1
-        let bu = modules.user.bias.lookup(g, store, Rc::new(users.to_vec()));
-        let bi = modules.item.bias.lookup(g, store, Rc::new(items.to_vec()));
-        let mu = g.param_full(store, modules.global_bias);
-        let mu_rows = g.repeat_rows(mu, users.len());
-        let s1 = g.add(mlp_out, dot);
-        let s2 = g.add(bu, bi);
-        let s3 = g.add(s1, s2);
-        g.add(s3, mu_rows)
+        let levels = side.draw_levels(cfg, pools, nodes, sample_neighborhoods, rng);
+        let h = side.fold_hops(g, store, cfg.fanout, target.p, &levels[1..], |g, level| {
+            Self::embed_nodes(cfg, g, store, side, attrs, cold, level, train, false, rng).p
+        });
+        (h, target.losses, target.masked_rows, target.p)
     }
 
     /// Exports the fitted state as a [`ModelSnapshot`] for the tape-free
@@ -419,12 +544,14 @@ impl RatingModel for Agnn {
 
         // --- parameters ----------------------------------------------------
         let mut store = ParamStore::new();
-        let user = Self::build_side(&mut store, "user", dataset.num_users, user_attrs.dim(), &cfg, &mut rng);
-        let item = Self::build_side(&mut store, "item", dataset.num_items, item_attrs.dim(), &cfg, &mut rng);
-        let d = cfg.embed_dim;
-        let pred_mlp = Mlp::new(&mut store, "pred", &[2 * d, d, 1], Activation::LeakyRelu(cfg.leaky_slope), &mut rng);
-        let global_bias = store.add("global_bias", Matrix::full(1, 1, split.train_mean()));
-        let modules = Modules { user, item, pred_mlp, global_bias };
+        let modules = AgnnModules::build(
+            &mut store,
+            &cfg,
+            (dataset.num_users, user_attrs.dim()),
+            (dataset.num_items, item_attrs.dim()),
+            split.train_mean(),
+            &mut rng,
+        );
 
         // --- training loop ---------------------------------------------------
         let mut trainer = Trainer::new(cfg.train_config());
@@ -438,7 +565,7 @@ impl RatingModel for Agnn {
                 &cfg, g, store, &modules.item, &item_attrs, &item_pools, &item_cold, &items, true, true,
                 &mut *ctx.rng,
             );
-            let scores = Self::predict_scores(g, store, &modules, pu, qi, &users, &items);
+            let scores = modules.predict(g, store, pu, qi, &users, &items);
             let target = g.constant(Matrix::col_vector(values));
             let pred_loss = loss::mse(g, scores, target);
 
@@ -497,15 +624,8 @@ impl RatingModel for Agnn {
         let f = self.fitted.as_ref().expect("predict before fit");
         let cfg = &self.cfg;
         let mut out = Vec::with_capacity(pairs.len());
-        // Deterministic eval: a fixed seed drives the sampled-neighborhood
-        // ensemble below, so repeated calls agree exactly.
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed);
-        // Dynamic neighborhood sampling is part of the model (§3.3.1); at
-        // eval we average the score over the deterministic top-proximity
-        // neighborhood plus a few sampled ones, which de-noises exactly the
-        // variance the dynamic strategy introduces.
-        const EVAL_NEIGHBORHOOD_SAMPLES: usize = 3;
-        for chunk in pairs.chunks(512) {
+        let mut rng = eval_rng(cfg);
+        for chunk in pairs.chunks(EVAL_CHUNK) {
             let users: Vec<usize> = chunk.iter().map(|&(u, _)| u as usize).collect();
             let items: Vec<usize> = chunk.iter().map(|&(_, i)| i as usize).collect();
             let mut acc = vec![0.0f32; chunk.len()];
@@ -521,7 +641,7 @@ impl RatingModel for Agnn {
                     cfg, &mut g, &f.store, &f.modules.item, &f.item_attrs, &f.item_pools, &f.item_cold, &items,
                     false, sample, &mut rng,
                 );
-                let scores = Self::predict_scores(&mut g, &f.store, &f.modules, pu, qi, &users, &items);
+                let scores = f.modules.predict(&mut g, &f.store, pu, qi, &users, &items);
                 for (a, &v) in acc.iter_mut().zip(g.value(scores).as_slice()) {
                     *a += v;
                 }
@@ -622,5 +742,28 @@ mod tests {
         // Recon still measured for the report, but training ran.
         assert_eq!(report.epochs.len(), 1);
         assert!(report.epochs[0].prediction.is_finite());
+    }
+
+    #[test]
+    fn every_snapshot_parameter_is_registered_and_resolves() {
+        use crate::snapshot::SnapshotParams;
+        use crate::variants::VariantName;
+        let (data, split) = data_and_split(ColdStartKind::StrictItem);
+        for variant in VariantName::TABLE3.into_iter().chain(VariantName::TABLE4) {
+            let cfg = AgnnConfig { epochs: 0, embed_dim: 4, vae_latent_dim: 2, variant: variant.variant(), ..quick_cfg() };
+            let mut model = Agnn::new(cfg);
+            model.fit(&data, &split);
+            let snap = model.export_snapshot().unwrap();
+            let sides = ((data.num_users, data.user_attrs[0].dim()), (data.num_items, data.item_attrs[0].dim()));
+            let mut resolver = SnapshotParams::new(&snap);
+            AgnnModules::build(&mut resolver, &cfg, sides.0, sides.1, 0.0, &mut StdRng::seed_from_u64(0));
+            assert!(resolver.finish().is_ok(), "{variant:?}");
+            // Nothing in the snapshot goes unregistered (and so unchecked).
+            let mut store = ParamStore::new();
+            AgnnModules::build(&mut store, &cfg, sides.0, sides.1, 0.0, &mut StdRng::seed_from_u64(0));
+            let names: Vec<&str> = store.ids().map(|id| store.name(id)).collect();
+            let in_snapshot: Vec<&str> = snap.params.iter().map(|p| p.name.as_str()).collect();
+            assert_eq!(names, in_snapshot, "{variant:?}");
+        }
     }
 }

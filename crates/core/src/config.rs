@@ -137,6 +137,16 @@ impl Default for AgnnConfig {
 }
 
 impl AgnnConfig {
+    /// GNN hops a side forward runs: `gnn_layers`, or none for the no-GNN
+    /// variant.
+    pub fn gnn_hops(&self) -> usize {
+        if self.variant.gnn == GnnKind::None {
+            0
+        } else {
+            self.gnn_layers
+        }
+    }
+
     /// The training-loop slice of these knobs, for the `agnn-train` engine.
     pub fn train_config(&self) -> agnn_train::TrainConfig {
         agnn_train::TrainConfig {
@@ -170,6 +180,14 @@ impl AgnnConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn no_gnn_variant_runs_no_hops() {
+        let c = AgnnConfig { gnn_layers: 2, ..AgnnConfig::default() };
+        assert_eq!(c.gnn_hops(), 2);
+        let none = AgnnConfig { variant: AgnnVariant { gnn: GnnKind::None, ..c.variant }, ..c };
+        assert_eq!(none.gnn_hops(), 0);
+    }
 
     #[test]
     fn default_matches_paper() {

@@ -7,7 +7,7 @@
 //! generated deterministically as `x' = decode(μ(x))`.
 
 use agnn_autograd::nn::Linear;
-use agnn_autograd::{loss, Graph, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamStore, Registry, Var};
 use agnn_tensor::{init, Matrix};
 use rand::Rng;
 
@@ -32,7 +32,7 @@ pub struct EVaeForward {
 
 impl EVae {
     /// Registers encoder/decoder parameters.
-    pub fn new(store: &mut ParamStore, name: &str, embed_dim: usize, latent_dim: usize, rng: &mut impl Rng) -> Self {
+    pub fn new(store: &mut impl Registry, name: &str, embed_dim: usize, latent_dim: usize, rng: &mut impl Rng) -> Self {
         Self {
             enc_mu: Linear::new(store, &format!("{name}.enc_mu"), embed_dim, latent_dim, rng),
             enc_logvar: Linear::new(store, &format!("{name}.enc_logvar"), embed_dim, latent_dim, rng),
@@ -80,10 +80,12 @@ impl EVae {
         EVaeForward { recon, kl, recon_nll }
     }
 
-    /// Deterministic generation for inference: `x' = decode(μ(x))`.
-    pub fn generate(&self, g: &mut Graph, store: &ParamStore, x: Var) -> Var {
-        let (mu, _) = self.encode(g, store, x);
-        self.decode(g, store, mu)
+    /// Deterministic generation for inference: `x' = decode(μ(x))`. The
+    /// log-variance head serves only training-time sampling and the KL
+    /// term, so generation does not compute it.
+    pub fn generate<O: Ops>(&self, o: &mut O, params: &O::Params, x: O::Value) -> O::Value {
+        let mu = self.enc_mu.forward(o, params, x);
+        self.dec.forward(o, params, mu)
     }
 
     /// The approximation term of Eq. 8, masked to warm rows: cold nodes'
@@ -115,12 +117,12 @@ pub fn warm_mask(cold: &[bool], nodes: &[usize]) -> Vec<f32> {
 
 /// Shared helper: blends preference rows for warm nodes with generated rows
 /// for cold nodes: `m ⊙ warm + gen ⊙ (1 − warm)` (column-broadcast masks).
-pub fn blend_preference(g: &mut Graph, preference: Var, generated: Var, warm: &[f32]) -> Var {
-    let warm_col = g.constant(Matrix::col_vector(warm.to_vec()));
-    let cold_col = g.constant(Matrix::col_vector(warm.iter().map(|w| 1.0 - w).collect()));
-    let keep = g.mul_col_broadcast(preference, warm_col);
-    let gen = g.mul_col_broadcast(generated, cold_col);
-    g.add(keep, gen)
+pub fn blend_preference<O: Ops>(o: &mut O, preference: O::Value, generated: O::Value, warm: &[f32]) -> O::Value {
+    let warm_col = o.constant(Matrix::col_vector(warm.to_vec()));
+    let cold_col = o.constant(Matrix::col_vector(warm.iter().map(|w| 1.0 - w).collect()));
+    let keep = o.mul_col_broadcast(preference, warm_col);
+    let gen = o.mul_col_broadcast(generated, cold_col);
+    o.add(keep, gen)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::config::GnnKind;
 use agnn_autograd::nn::Linear;
-use agnn_autograd::{Graph, ParamStore, Var};
+use agnn_autograd::{Ops, Registry};
 use rand::Rng;
 
 /// Parameters of one side's aggregator. Only the fields the configured
@@ -29,7 +29,7 @@ pub struct GnnLayer {
 impl GnnLayer {
     /// Registers the parameters the chosen aggregator needs.
     pub fn new(
-        store: &mut ParamStore,
+        store: &mut impl Registry,
         name: &str,
         embed_dim: usize,
         kind: GnnKind,
@@ -65,69 +65,72 @@ impl GnnLayer {
     }
 
     /// Aggregates `neighbors` into `target` (shapes `B×D` and `(B·g)×D`).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, target: Var, neighbors: Var, fanout: usize) -> Var {
-        let b = g.value(target).rows();
-        assert_eq!(
-            g.value(neighbors).rows(),
-            b * fanout,
-            "GnnLayer::forward: {} neighbor rows for batch {} × fanout {}",
-            g.value(neighbors).rows(),
-            b,
-            fanout
-        );
+    pub fn forward<O: Ops>(
+        &self,
+        o: &mut O,
+        params: &O::Params,
+        target: O::Value,
+        neighbors: O::Value,
+        fanout: usize,
+    ) -> O::Value {
+        let b = o.value(&target).rows();
+        let rows = o.value(&neighbors).rows();
+        assert_eq!(rows, b * fanout, "GnnLayer::forward: {rows} neighbor rows for batch {b} × fanout {fanout}");
         match self.kind {
             GnnKind::None => target,
             GnnKind::Gated | GnnKind::GatedNoAggregateGate | GnnKind::GatedNoFilterGate => {
                 // Aggregate side (Eqs. 9–10).
                 let aggregated = if let Some(wa) = &self.w_agg {
-                    let rep = g.repeat_rows(target, fanout);
-                    let cat = g.concat(&[rep, neighbors]);
-                    let gate_logits = wa.forward(g, store, cat);
-                    let gate = g.sigmoid(gate_logits);
-                    let gated = g.mul(neighbors, gate);
-                    g.segment_mean_rows(gated, fanout)
+                    let rep = o.repeat_rows(target.clone(), fanout);
+                    let cat = o.concat(&[rep, neighbors.clone()]);
+                    let gate_logits = wa.forward(o, params, cat);
+                    let gate = o.sigmoid(gate_logits);
+                    let gated = o.mul(neighbors.clone(), gate);
+                    o.segment_mean_rows(gated, fanout)
                 } else {
-                    g.segment_mean_rows(neighbors, fanout)
+                    o.segment_mean_rows(neighbors.clone(), fanout)
                 };
                 // Filter side (Eqs. 11–12).
                 let remaining = if let Some(wf) = &self.w_filter {
-                    let nb_mean = g.segment_mean_rows(neighbors, fanout);
-                    let cat = g.concat(&[target, nb_mean]);
-                    let gate_logits = wf.forward(g, store, cat);
-                    let fgate = g.sigmoid(gate_logits);
-                    let neg = g.neg(fgate);
-                    let one_minus = g.add_scalar(neg, 1.0);
-                    g.mul(target, one_minus)
+                    let nb_mean = o.segment_mean_rows(neighbors, fanout);
+                    let cat = o.concat(&[target.clone(), nb_mean]);
+                    let gate_logits = wf.forward(o, params, cat);
+                    let fgate = o.sigmoid(gate_logits);
+                    let neg = o.neg(fgate);
+                    let one_minus = o.add_scalar(neg, 1.0);
+                    o.mul(target, one_minus)
                 } else {
                     target
                 };
                 // Eq. 13.
-                let combined = g.add(remaining, aggregated);
-                g.leaky_relu(combined, self.leaky_slope)
+                let combined = o.add(remaining, aggregated);
+                o.leaky_relu(combined, self.leaky_slope)
             }
             GnnKind::Gcn => {
                 // GC-MC-style mean over self ∪ neighbors, then projection.
-                let nb_mean = g.segment_mean_rows(neighbors, fanout);
+                let nb_mean = o.segment_mean_rows(neighbors, fanout);
                 let gf = fanout as f32;
-                let t_part = g.scale(target, 1.0 / (gf + 1.0));
-                let n_part = g.scale(nb_mean, gf / (gf + 1.0));
-                let avg = g.add(t_part, n_part);
+                let t_part = o.scale(target, 1.0 / (gf + 1.0));
+                let n_part = o.scale(nb_mean, gf / (gf + 1.0));
+                let avg = o.add(t_part, n_part);
+                // invariant: `new` registers w_gcn whenever kind is Gcn
                 let w = self.w_gcn.as_ref().expect("gcn weights");
-                let proj = w.forward(g, store, avg);
-                g.leaky_relu(proj, self.leaky_slope)
+                let proj = w.forward(o, params, avg);
+                o.leaky_relu(proj, self.leaky_slope)
             }
             GnnKind::Gat => {
                 // Node-level attention (DANSER-style), then residual sum.
+                // invariant: `new` registers w_attn whenever kind is Gat
                 let w = self.w_attn.as_ref().expect("attention weights");
-                let rep = g.repeat_rows(target, fanout);
-                let cat = g.concat(&[rep, neighbors]);
-                let scores = w.forward(g, store, cat); // (B·g) × 1
-                let scores = g.leaky_relu(scores, 0.2);
-                let alpha = g.segment_softmax_col(scores, fanout);
-                let weighted = g.mul_col_broadcast(neighbors, alpha);
-                let agg = g.segment_sum_rows(weighted, fanout);
-                let combined = g.add(target, agg);
-                g.leaky_relu(combined, self.leaky_slope)
+                let rep = o.repeat_rows(target.clone(), fanout);
+                let cat = o.concat(&[rep, neighbors.clone()]);
+                let scores = w.forward(o, params, cat); // (B·g) × 1
+                let scores = o.leaky_relu(scores, 0.2);
+                let alpha = o.segment_softmax_col(scores, fanout);
+                let weighted = o.mul_col_broadcast(neighbors, alpha);
+                let agg = o.segment_sum_rows(weighted, fanout);
+                let combined = o.add(target, agg);
+                o.leaky_relu(combined, self.leaky_slope)
             }
         }
     }
@@ -137,6 +140,7 @@ impl GnnLayer {
 mod tests {
     use super::*;
     use agnn_autograd::gradcheck::check_all_params;
+    use agnn_autograd::{Graph, ParamStore};
     use agnn_tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

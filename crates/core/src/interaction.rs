@@ -11,13 +11,12 @@
 //! x       = LeakyReLU(W₁ f_BI + W₀ f_L + b)
 //! ```
 //!
-//! Nodes have ragged attribute lists, so pooling uses the variable-segment
-//! ops: one flat gather over the value-embedding table per batch, then
-//! segment sums.
+//! Nodes have ragged attribute lists, so both sums pool over one flat list
+//! of attribute indices per batch ([`Ops::attr_sums`]).
 
 use agnn_autograd::nn::Linear;
-use agnn_autograd::{Graph, ParamId, ParamStore, Var};
-use agnn_tensor::{init, SparseVec};
+use agnn_autograd::{Ops, ParamId, Registry};
+use agnn_tensor::{init, Matrix, SparseVec};
 use rand::Rng;
 use std::rc::Rc;
 
@@ -97,17 +96,18 @@ pub struct AttrInteraction {
 impl AttrInteraction {
     /// Registers the layer's parameters.
     pub fn new(
-        store: &mut ParamStore,
+        store: &mut impl Registry,
         name: &str,
         attr_dim: usize,
         embed_dim: usize,
         leaky_slope: f32,
         rng: &mut impl Rng,
     ) -> Self {
-        let table = store.add(format!("{name}.attr_table"), init::normal(attr_dim, embed_dim, 0.1, rng));
+        let table =
+            store.register(format!("{name}.attr_table"), attr_dim, embed_dim, || init::normal(attr_dim, embed_dim, 0.1, rng));
         let w_bi = Linear::new_no_bias(store, &format!("{name}.w_bi"), embed_dim, embed_dim, rng);
         let w_lin = Linear::new_no_bias(store, &format!("{name}.w_lin"), embed_dim, embed_dim, rng);
-        let bias = store.add(format!("{name}.bias"), agnn_tensor::Matrix::zeros(1, embed_dim));
+        let bias = store.register(format!("{name}.bias"), 1, embed_dim, || Matrix::zeros(1, embed_dim));
         Self { table, w_bi, w_lin, bias, embed_dim, leaky_slope }
     }
 
@@ -120,29 +120,24 @@ impl AttrInteraction {
     ///
     /// Nodes with zero active attributes produce `LeakyReLU(b)` — the bias
     /// acts as the "unknown attributes" embedding.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, lists: &AttrLists, nodes: &[usize]) -> Var {
+    pub fn forward<O: Ops>(&self, o: &mut O, params: &O::Params, lists: &AttrLists, nodes: &[usize]) -> O::Value {
         let (flat, offsets) = lists.flatten(nodes);
-        if flat.is_empty() {
+        let total = if flat.is_empty() {
             // Entire batch attribute-less: bias rows only.
-            let zeros = g.constant(agnn_tensor::Matrix::zeros(nodes.len(), self.embed_dim));
-            let b = g.param_full(store, self.bias);
-            let biased = g.add_row_broadcast(zeros, b);
-            return g.leaky_relu(biased, self.leaky_slope);
-        }
-        let v = g.param_rows(store, self.table, flat); // T × D
-        let sum = g.segment_sum_rows_var(v, offsets.clone()); // n × D  (= f_L)
-        let v_sq = g.square(v);
-        let sum_sq = g.segment_sum_rows_var(v_sq, offsets); // n × D
-        let sum2 = g.square(sum);
-        let diff = g.sub(sum2, sum_sq);
-        let f_bi = g.scale(diff, 0.5);
+            o.constant(Matrix::zeros(nodes.len(), self.embed_dim))
+        } else {
+            let (sum, sum_sq) = o.attr_sums(params, self.table, flat, offsets); // n × D each (sum = f_L)
+            let sum2 = o.square(sum.clone());
+            let diff = o.sub(sum2, sum_sq);
+            let f_bi = o.scale(diff, 0.5);
 
-        let proj_bi = self.w_bi.forward(g, store, f_bi);
-        let proj_lin = self.w_lin.forward(g, store, sum);
-        let total = g.add(proj_bi, proj_lin);
-        let b = g.param_full(store, self.bias);
-        let biased = g.add_row_broadcast(total, b);
-        g.leaky_relu(biased, self.leaky_slope)
+            let proj_bi = self.w_bi.forward(o, params, f_bi);
+            let proj_lin = self.w_lin.forward(o, params, sum);
+            o.add(proj_bi, proj_lin)
+        };
+        let b = o.param(params, self.bias);
+        let biased = o.add_row_broadcast(total, b);
+        o.leaky_relu(biased, self.leaky_slope)
     }
 }
 
@@ -150,6 +145,7 @@ impl AttrInteraction {
 mod tests {
     use super::*;
     use agnn_autograd::gradcheck::check_all_params;
+    use agnn_autograd::{Graph, ParamStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

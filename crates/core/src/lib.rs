@@ -48,7 +48,7 @@ pub mod model;
 pub mod snapshot;
 pub mod variants;
 
-pub use agnn::Agnn;
+pub use agnn::{eval_rng, Agnn, AgnnModules, AgnnSide, EVAL_CHUNK, EVAL_NEIGHBORHOOD_SAMPLES};
 pub use config::{AgnnConfig, AgnnVariant, ColdStartModule, GnnKind, GraphKind};
 pub use model::{evaluate, RatingModel, TrainReport};
-pub use snapshot::{ModelSnapshot, ParamEntry, SnapshotError};
+pub use snapshot::{ModelSnapshot, ParamEntry, SnapshotError, SnapshotParams};

@@ -17,6 +17,7 @@
 use crate::config::{AgnnConfig, AgnnVariant, ColdStartModule, GnnKind, GraphKind};
 use crate::interaction::AttrLists;
 use crate::jsonio::{need, push_json_f32, put, read_f32_pair, read_list, read_object, Parser};
+use agnn_autograd::{ParamId, ParamTable, Registry};
 use agnn_obs::trace::push_json_str;
 use agnn_graph::{CandidatePools, PoolConfig, ProximityMode};
 use agnn_tensor::Matrix;
@@ -97,17 +98,53 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// Loads parameters for forward-only use: run a model's registration code
+/// (e.g. [`crate::agnn::AgnnModules::build`]) against it, and each declared
+/// parameter is looked up by name and checked against the shape the
+/// declaration implies. No gradient or optimizer state is allocated.
+pub struct SnapshotParams<'s> {
+    snap: &'s ModelSnapshot,
+    values: ParamTable,
+    error: Option<SnapshotError>,
+}
+
+impl<'s> SnapshotParams<'s> {
+    /// Resolves against `snap`.
+    pub fn new(snap: &'s ModelSnapshot) -> Self {
+        Self { snap, values: ParamTable::default(), error: None }
+    }
+
+    /// The resolved values, or the first parameter that was missing or
+    /// misshaped.
+    pub fn finish(self) -> Result<ParamTable, SnapshotError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.values),
+        }
+    }
+}
+
+impl Registry for SnapshotParams<'_> {
+    fn register(&mut self, name: String, rows: usize, cols: usize, _init: impl FnOnce() -> Matrix) -> ParamId {
+        let value = match self.snap.param(&name) {
+            Some(entry) if (entry.rows, entry.cols) == (rows, cols) => entry.matrix(),
+            found => {
+                let cause = match found {
+                    Some(entry) => format!("parameter `{name}` is {}x{}, want {rows}x{cols}", entry.rows, entry.cols),
+                    None => format!("parameter `{name}` not in snapshot (model `{}`)", self.snap.model),
+                };
+                self.error.get_or_insert(SnapshotError(cause));
+                Matrix::zeros(0, 0)
+            }
+        };
+        self.values.push(value)
+    }
+}
+
 impl ModelSnapshot {
     /// The entry named `name`, if present.
     pub fn param(&self, name: &str) -> Option<&ParamEntry> {
         self.params.iter().find(|p| p.name == name)
-    }
-
-    /// The matrix named `name`, or an error naming what's missing.
-    pub fn require(&self, name: &str) -> Result<Matrix, SnapshotError> {
-        self.param(name)
-            .map(ParamEntry::matrix)
-            .ok_or_else(|| SnapshotError(format!("parameter `{name}` not in snapshot (model `{}`)", self.model)))
     }
 
     /// Canonical byte-stable JSON encoding. Panics (via debug assert) only
@@ -578,9 +615,16 @@ mod tests {
     #[test]
     fn param_lookup_by_name() {
         let snap = tiny_snapshot();
-        assert_eq!(snap.require("global_bias").unwrap().get(0, 0), 3.140625);
-        let err = snap.require("user.nope").unwrap_err();
-        assert!(err.to_string().contains("user.nope"), "{err}");
+        let resolve = |name: &str, rows: usize, cols: usize| {
+            let mut params = SnapshotParams::new(&snap);
+            let id = params.register(name.into(), rows, cols, || unreachable!("loading initialises nothing"));
+            params.finish().map(|table| table.value(id).get(0, 0))
+        };
+        assert_eq!(resolve("global_bias", 1, 1).unwrap(), 3.140625);
+        let err = resolve("user.nope", 1, 1).unwrap_err();
+        assert!(err.to_string().contains("`user.nope` not in snapshot"), "{err}");
+        let err = resolve("global_bias", 1, 2).unwrap_err();
+        assert!(err.to_string().contains("`global_bias` is 1x1, want 1x2"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! differences stay on one side of it.
 
 use agnn_autograd::gradcheck::check_param;
-use agnn_autograd::{loss, Graph, ParamId, ParamStore, Var};
+use agnn_autograd::{loss, Graph, Ops, ParamId, ParamStore, Var};
 use agnn_core::evae::EVae;
 use agnn_core::gnn::GnnLayer;
 use agnn_core::GnnKind;

@@ -1,19 +1,21 @@
 //! The inference engine: snapshot loading, the embedding materializer and
 //! the batched scorer.
 
-use crate::layers::{blend_preference, ColdGenerator, InferAttrInteraction, InferGnnLayer, InferLinear, InferMlp};
-use agnn_core::evae::warm_mask;
+use crate::eager::{into_matrix, Eager, EngineParams};
 use agnn_core::interaction::AttrLists;
-use agnn_core::{AgnnConfig, GnnKind, GraphKind, ModelSnapshot, SnapshotError};
+use agnn_core::{
+    eval_rng, AgnnConfig, AgnnModules, AgnnSide, ModelSnapshot, SnapshotError, SnapshotParams, EVAL_CHUNK,
+    EVAL_NEIGHBORHOOD_SAMPLES,
+};
 use agnn_graph::CandidatePools;
 use agnn_obs::{metrics, trace};
-use agnn_tensor::{ops, select, Matrix};
+use agnn_tensor::{select, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which side of the bipartite problem a node batch belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,16 +26,9 @@ pub enum Side {
     Item,
 }
 
-/// Everything one side needs to embed node batches.
-struct SideState {
-    /// Trained preference embedding table, `n × D`.
-    pref: Matrix,
-    attr: InferAttrInteraction,
-    fuse: InferLinear,
-    cold_gen: ColdGenerator,
-    gnn: Vec<InferGnnLayer>,
-    /// Per-node rating bias, `n × 1`.
-    bias: Matrix,
+/// One side's nodes: what the forward reads besides parameters, and the
+/// tables [`InferenceEngine::materialize`] precomputes.
+struct SideData {
     pools: CandidatePools,
     attrs: AttrLists,
     cold: Vec<bool>,
@@ -44,21 +39,13 @@ struct SideState {
     pass0: Option<Matrix>,
 }
 
-/// Batch size for both scoring (mirroring `Agnn::predict_batch`) and
-/// embedding materialization.
-const CHUNK: usize = 512;
-
 /// Target rows per block when a side forward is split across threads.
-const SPLIT_BLOCK: usize = CHUNK / 2;
+const SPLIT_BLOCK: usize = EVAL_CHUNK / 2;
 
-/// Most node ids the deepest level of one [`CHUNK`]-row side forward may
-/// hold (`CHUNK · fanout^hops`): fanout 10 at three hops is 512,000. A
-/// snapshot whose config asks for more is refused at load.
+/// Most node ids the deepest level of one [`EVAL_CHUNK`]-row side forward
+/// may hold (`EVAL_CHUNK · fanout^hops`): fanout 10 at three hops is
+/// 512,000. A snapshot whose config asks for more is refused at load.
 const MAX_LEVEL_ROWS: usize = 1 << 21;
-
-/// Sampled-neighborhood ensemble size at eval — must match
-/// `Agnn::predict_batch`'s `EVAL_NEIGHBORHOOD_SAMPLES`.
-const EVAL_NEIGHBORHOOD_SAMPLES: usize = 3;
 
 /// Entries the top-K item memo keeps per (chunk round, sampled pass): one
 /// per draw class of a one-hop model (the user's pool empty or not).
@@ -73,17 +60,18 @@ type ItemMemo = Mutex<HashMap<(usize, usize), Vec<(Vec<Vec<u32>>, Matrix)>>>;
 
 /// A tape-free AGNN scorer built from a [`ModelSnapshot`].
 ///
-/// Construction resolves every parameter by its stable name; scoring then
-/// touches no autograd machinery at all. [`InferenceEngine::score_batch`]
-/// is bit-identical to `Agnn::predict_batch` on the model the snapshot was
+/// Construction runs AGNN's own parameter registration against the
+/// snapshot, so every parameter is resolved by its stable name and
+/// shape-checked; scoring runs the model's forward over eager ops and
+/// touches no autograd tape. [`InferenceEngine::score_batch`] is
+/// bit-identical to `Agnn::predict_batch` on the model the snapshot was
 /// exported from, with or without [`InferenceEngine::materialize`].
 pub struct InferenceEngine {
     cfg: AgnnConfig,
-    user: SideState,
-    item: SideState,
-    pred_mlp: InferMlp,
-    /// `1 × 1` global rating mean.
-    global_bias: Matrix,
+    modules: AgnnModules,
+    params: EngineParams,
+    user: SideData,
+    item: SideData,
     rating_scale: (f32, f32),
     dataset: String,
     /// The top-K item memo, present while materialized.
@@ -112,78 +100,34 @@ impl Drop for InFlight<'_> {
     }
 }
 
-/// GNN hops a side forward runs: none for the no-GNN variant, whatever
-/// `gnn_layers` says.
-fn gnn_hops(cfg: &AgnnConfig) -> usize {
-    if cfg.variant.gnn == GnnKind::None {
-        0
-    } else {
-        cfg.gnn_layers
-    }
-}
-
-fn build_side(snap: &ModelSnapshot, name: &str, cfg: &AgnnConfig) -> Result<(InferAttrInteraction, InferLinear, ColdGenerator, Vec<InferGnnLayer>), SnapshotError> {
-    let attr = InferAttrInteraction::from_snapshot(snap, &format!("{name}.attr"), cfg.leaky_slope)?;
-    let fuse = InferLinear::from_snapshot(snap, &format!("{name}.fuse"), true)?;
-    let cold_gen = ColdGenerator::from_snapshot(snap, name, cfg.variant.cold)?;
-    let gnn = (0..gnn_hops(cfg))
-        .map(|l| InferGnnLayer::from_snapshot(snap, name, l, cfg.variant.gnn, cfg.leaky_slope))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((attr, fuse, cold_gen, gnn))
-}
-
-fn side_state(snap: &ModelSnapshot, name: &str, cfg: &AgnnConfig, side: Side) -> Result<SideState, SnapshotError> {
-    let (pref, bias, pools, attrs, cold) = match side {
-        Side::User => (
-            snap.require("user.pref")?,
-            snap.require("user.bias")?,
-            snap.user_pools.clone(),
-            snap.user_attrs.clone(),
-            snap.user_cold.clone(),
-        ),
-        Side::Item => (
-            snap.require("item.pref")?,
-            snap.require("item.bias")?,
-            snap.item_pools.clone(),
-            snap.item_attrs.clone(),
-            snap.item_cold.clone(),
-        ),
+/// One side's node data, checked against its preference table: one cold
+/// flag, attribute list and candidate pool per row, `embed_dim` wide.
+fn side_data(snap: &ModelSnapshot, name: &str, side: Side) -> Result<SideData, SnapshotError> {
+    let (pools, attrs, cold) = match side {
+        Side::User => (snap.user_pools.clone(), snap.user_attrs.clone(), snap.user_cold.clone()),
+        Side::Item => (snap.item_pools.clone(), snap.item_attrs.clone(), snap.item_cold.clone()),
     };
-    let n = pref.rows();
-    if pref.cols() != cfg.embed_dim {
-        return Err(SnapshotError(format!("{name}.pref is {} wide for embed_dim {}", pref.cols(), cfg.embed_dim)));
+    let pref = snap
+        .param(&format!("{name}.pref"))
+        .ok_or_else(|| SnapshotError(format!("parameter `{name}.pref` not in snapshot (model `{}`)", snap.model)))?;
+    let embed_dim = snap.config.embed_dim;
+    if pref.cols != embed_dim {
+        return Err(SnapshotError(format!("{name}.pref is {} wide for embed_dim {embed_dim}", pref.cols)));
     }
+    let n = pref.rows;
     for (what, got) in [("cold flags", cold.len()), ("attribute lists", attrs.num_nodes()), ("candidate pools", pools.num_nodes())] {
         if got != n {
             return Err(SnapshotError(format!("{name} side: {got} {what} for {n} preference rows")));
         }
     }
-    if bias.shape() != (n, 1) {
-        return Err(SnapshotError(format!("{name}.bias is {:?}, want ({n}, 1)", bias.shape())));
-    }
-    let (attr, fuse, cold_gen, gnn) = build_side(snap, name, cfg)?;
-    if attr.width() != cfg.embed_dim {
-        return Err(SnapshotError(format!(
-            "{name} side: attribute table is {} wide for embed_dim {}",
-            attr.width(),
-            cfg.embed_dim
-        )));
-    }
-    if attr.attr_dim() != attrs.dim() {
-        return Err(SnapshotError(format!(
-            "{name} side: attribute table has {} rows for encoding dim {}",
-            attr.attr_dim(),
-            attrs.dim()
-        )));
-    }
-    Ok(SideState { pref, attr, fuse, cold_gen, gnn, bias, pools, attrs, cold, cache: None, pass0: None })
+    Ok(SideData { pools, attrs, cold, cache: None, pass0: None })
 }
 
-/// Runs `f` over the node ids `0..n` in [`CHUNK`]-row batches and stacks
-/// the results into one `n × dim` table.
+/// Runs `f` over the node ids `0..n` in [`EVAL_CHUNK`]-row batches and
+/// stacks the results into one `n × dim` table.
 fn by_chunks(n: usize, dim: usize, mut f: impl FnMut(&[usize]) -> Matrix) -> Matrix {
     let parts: Vec<Matrix> =
-        (0..n).step_by(CHUNK).map(|start| f(&(start..(start + CHUNK).min(n)).collect::<Vec<usize>>())).collect();
+        (0..n).step_by(EVAL_CHUNK).map(|start| f(&(start..(start + EVAL_CHUNK).min(n)).collect::<Vec<usize>>())).collect();
     let refs: Vec<&Matrix> = parts.iter().collect();
     if refs.is_empty() {
         Matrix::zeros(0, dim)
@@ -192,43 +136,56 @@ fn by_chunks(n: usize, dim: usize, mut f: impl FnMut(&[usize]) -> Matrix) -> Mat
     }
 }
 
+/// Pre-GNN embedding of a node batch, computed: [`AgnnSide::embed`] over
+/// [`Eager`].
+fn embed_rows(cfg: &AgnnConfig, params: &EngineParams, side: &AgnnSide, data: &SideData, nodes: &[usize]) -> Matrix {
+    into_matrix(side.embed(&mut Eager, params, cfg, &data.attrs, &data.cold, nodes))
+}
+
 impl InferenceEngine {
-    /// Builds an engine from a snapshot, resolving all parameters by name
-    /// and cross-checking shapes. Fails on anything missing or mismatched —
-    /// a half-resolved scorer must never come into existence.
+    /// Builds an engine from a snapshot: checks the config's level sizes
+    /// and each side's node data, then resolves every parameter AGNN
+    /// registers by name and shape. Fails on anything missing or
+    /// mismatched — a half-resolved scorer must never come into existence.
     pub fn from_snapshot(snap: &ModelSnapshot) -> Result<Self, SnapshotError> {
         if snap.model != "AGNN" {
             return Err(SnapshotError(format!("engine serves AGNN snapshots, got model `{}`", snap.model)));
         }
         let cfg = snap.config;
-        let hops = gnn_hops(&cfg);
+        let hops = cfg.gnn_hops();
         if hops > 0 && cfg.fanout == 0 {
             return Err(SnapshotError(format!("fanout is 0 for {hops} GNN hop(s)")));
         }
         let deepest =
-            u32::try_from(hops).ok().and_then(|h| cfg.fanout.checked_pow(h)).and_then(|width| width.checked_mul(CHUNK));
+            u32::try_from(hops).ok().and_then(|h| cfg.fanout.checked_pow(h)).and_then(|width| width.checked_mul(EVAL_CHUNK));
         if !matches!(deepest, Some(rows) if rows <= MAX_LEVEL_ROWS) {
             return Err(SnapshotError(format!(
-                "fanout {} over {hops} GNN hop(s) draws more than {MAX_LEVEL_ROWS} neighbor rows per {CHUNK}-row chunk",
+                "fanout {} over {hops} GNN hop(s) draws more than {MAX_LEVEL_ROWS} neighbor rows per {EVAL_CHUNK}-row chunk",
                 cfg.fanout
             )));
         }
-        let user = side_state(snap, "user", &cfg, Side::User)?;
-        let item = side_state(snap, "item", &cfg, Side::Item)?;
-        let pred_mlp = InferMlp::from_snapshot(snap, "pred", cfg.leaky_slope)?;
-        let global_bias = snap.require("global_bias")?;
-        if global_bias.shape() != (1, 1) {
-            return Err(SnapshotError(format!("global_bias is {:?}, want (1, 1)", global_bias.shape())));
-        }
+        let user = side_data(snap, "user", Side::User)?;
+        let item = side_data(snap, "item", Side::Item)?;
+        let mut resolver = SnapshotParams::new(snap);
+        // Loading calls no initialiser, so this rng is never drawn from.
+        let modules = AgnnModules::build(
+            &mut resolver,
+            &cfg,
+            (user.cold.len(), user.attrs.dim()),
+            (item.cold.len(), item.attrs.dim()),
+            0.0,
+            &mut StdRng::seed_from_u64(0),
+        );
+        let params = EngineParams::new(resolver.finish()?, &[modules.user.attr_table(), modules.item.attr_table()]);
         let (rating_scale, dataset) = (snap.rating_scale, snap.dataset.clone());
         // Read once: on Linux this reads cgroup files.
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         Ok(Self {
             cfg,
+            modules,
+            params,
             user,
             item,
-            pred_mlp,
-            global_bias,
             rating_scale,
             dataset,
             item_memo: None,
@@ -254,12 +211,12 @@ impl InferenceEngine {
 
     /// Number of user nodes.
     pub fn num_users(&self) -> usize {
-        self.user.pref.rows()
+        self.user.cold.len()
     }
 
     /// Number of item nodes.
     pub fn num_items(&self) -> usize {
-        self.item.pref.rows()
+        self.item.cold.len()
     }
 
     /// Whether [`InferenceEngine::materialize`] has run.
@@ -281,32 +238,27 @@ impl InferenceEngine {
         self.user.cold[user as usize] || self.item.cold[item as usize]
     }
 
-    /// Pre-GNN embedding of a node batch — the eval arms of
-    /// `Agnn::embed_nodes`, kernel for kernel: preference gather, attribute
-    /// interaction, cold-row substitution, fuse.
-    fn embed_nodes(cfg: &AgnnConfig, side: &SideState, nodes: &[usize]) -> Matrix {
-        let n = nodes.len();
-        let m = side.pref.gather_rows(nodes);
-        let x = side.attr.forward(&side.attrs, nodes);
-        let warm = warm_mask(&side.cold, nodes);
-        let generated = side.cold_gen.generate(&x, n, cfg.embed_dim);
-        let m_used = blend_preference(&m, &generated, &warm);
-        let cat = Matrix::hconcat(&[&m_used, &x]);
-        side.fuse.forward(&cat)
+    /// The modules and node data of `which` side.
+    fn side(&self, which: Side) -> (&AgnnSide, &SideData) {
+        match which {
+            Side::User => (&self.modules.user, &self.user),
+            Side::Item => (&self.modules.item, &self.item),
+        }
     }
 
     /// Batch embedding: gathers from the materialized cache when present,
     /// otherwise computes. Bit-identical either way (every kernel on the
     /// embedding path is row-independent).
-    fn embed(&self, side: &SideState, nodes: &[usize]) -> Matrix {
-        match &side.cache {
+    fn embed(&self, which: Side, nodes: &[usize]) -> Matrix {
+        let (side, data) = self.side(which);
+        match &data.cache {
             Some(cache) => {
                 metrics::counter_add("infer.embed.cache_hit_rows", nodes.len() as u64);
                 cache.gather_rows(nodes)
             }
             None => {
                 metrics::counter_add("infer.embed.cache_miss_rows", nodes.len() as u64);
-                Self::embed_nodes(&self.cfg, side, nodes)
+                embed_rows(&self.cfg, &self.params, side, data, nodes)
             }
         }
     }
@@ -325,24 +277,26 @@ impl InferenceEngine {
         let cfg = self.cfg;
         let mut span = trace::span("infer.materialize");
         let mut total_rows = 0usize;
-        for side in [&mut self.user, &mut self.item] {
-            let n = side.pref.rows();
+        let params = &self.params;
+        for (side, data) in [(&self.modules.user, &mut self.user), (&self.modules.item, &mut self.item)] {
+            let n = data.cold.len();
             total_rows += n;
-            let cold_rows = side.cold.iter().filter(|&&c| c).count();
+            let cold_rows = data.cold.iter().filter(|&&c| c).count();
             metrics::counter_add("infer.materialize.rows", n as u64);
             metrics::counter_add("infer.materialize.cold_rows", cold_rows as u64);
             metrics::counter_add("infer.materialize.warm_rows", (n - cold_rows) as u64);
-            side.cache = Some(by_chunks(n, cfg.embed_dim, |nodes| {
-                metrics::timed("infer.materialize.chunk_ns", || Self::embed_nodes(&cfg, side, nodes))
+            data.cache = Some(by_chunks(n, cfg.embed_dim, |nodes| {
+                metrics::timed("infer.materialize.chunk_ns", || embed_rows(&cfg, params, side, data, nodes))
             }));
         }
         let [user_pass0, item_pass0] = [Side::User, Side::Item].map(|which| {
-            let n = self.side_state_of(which).pref.rows();
+            let (side, data) = self.side(which);
+            let n = data.cold.len();
             metrics::counter_add("infer.materialize.pass0_rows", n as u64);
             // A pass-0 draw reads no rng; this one only fills the parameter.
             let mut rng = StdRng::seed_from_u64(0);
             by_chunks(n, cfg.embed_dim, |nodes| {
-                self.forward_levels(which, &self.draw_levels(which, nodes, false, &mut rng))
+                self.forward_levels(which, &side.draw_levels(&cfg, &data.pools, nodes, false, &mut rng))
             })
         });
         self.user.pass0 = Some(user_pass0);
@@ -354,73 +308,27 @@ impl InferenceEngine {
     /// Drops the materialized caches, the pass-0 tables and the top-K item
     /// memo (fresh-compute mode again).
     pub fn dematerialize(&mut self) {
-        for side in [&mut self.user, &mut self.item] {
-            side.cache = None;
-            side.pass0 = None;
+        for data in [&mut self.user, &mut self.item] {
+            data.cache = None;
+            data.pass0 = None;
         }
         self.item_memo = None;
     }
 
-    /// The [`SideState`] for `which`.
-    fn side_state_of(&self, which: Side) -> &SideState {
-        match which {
-            Side::User => &self.user,
-            Side::Item => &self.item,
-        }
-    }
-
-    /// Draws the neighborhood levels for a node batch: level 0 is the batch
-    /// itself, level `l + 1` holds `fanout` drawn neighbor ids per level-`l`
-    /// row, in row order. This is the **only** rng-consuming step of a side
-    /// forward, and only for dynamic graph variants on sampled passes —
-    /// everywhere else `top_neighbors` is deterministic. The draw order
-    /// (all levels first, then embeddings) matches the tape so the shared
-    /// rng stream stays aligned.
-    fn draw_levels(&self, which: Side, nodes: &[usize], sample: bool, rng: &mut StdRng) -> Vec<Vec<usize>> {
-        let side = self.side_state_of(which);
-        let cfg = &self.cfg;
-        let mut levels: Vec<Vec<usize>> = vec![nodes.to_vec()];
-        if cfg.variant.gnn == GnnKind::None {
-            return levels;
-        }
-        let sampled = self.pass_consumes_rng(which, sample);
-        for _ in 0..side.gnn.len() {
-            // invariant: levels is seeded with one entry before the loop
-            let frontier = levels.last().expect("non-empty");
-            let mut ids = Vec::with_capacity(frontier.len() * cfg.fanout);
-            for &node in frontier {
-                if sampled {
-                    side.pools.sample_neighbors_into(node as u32, cfg.fanout, rng, &mut ids);
-                } else {
-                    ids.extend(side.pools.top_neighbors(node as u32, cfg.fanout));
-                }
-            }
-            levels.push(ids);
-        }
-        levels
-    }
-
-    /// Runs the embedding + GNN aggregation over already-drawn levels.
-    /// Pure (no rng): embeds the deepest level, then folds hop by hop down
-    /// to the level-0 targets, exactly as the tape's eval path does.
+    /// Runs the embedding + GNN aggregation over already-drawn levels
+    /// ([`AgnnSide::fold_hops`]). Pure (no rng): embeds the level-0
+    /// targets, then the deepest level, and folds hop by hop down to the
+    /// targets, exactly as the tape's eval path does.
     fn forward_levels<L: AsRef<[usize]>>(&self, which: Side, levels: &[L]) -> Matrix {
-        let side = self.side_state_of(which);
-        let cfg = &self.cfg;
-        let Some((base, rest)) = levels.split_first() else {
-            return Matrix::zeros(0, cfg.embed_dim);
+        let Some((base, deeper)) = levels.split_first() else {
+            return Matrix::zeros(0, self.cfg.embed_dim);
         };
-        let target = self.embed(side, base.as_ref());
-        if cfg.variant.gnn == GnnKind::None || rest.is_empty() {
-            return target;
-        }
-        let hops = rest.len();
-        // invariant: rest is non-empty on this branch
-        let mut h = self.embed(side, rest.last().expect("non-empty").as_ref());
-        for l in (0..hops).rev() {
-            let level_target = if l == 0 { target.clone() } else { self.embed(side, rest[l - 1].as_ref()) };
-            h = side.gnn[hops - 1 - l].forward(cfg.variant.gnn, &level_target, &h, cfg.fanout);
-        }
-        h
+        let target = Arc::new(self.embed(which, base.as_ref()));
+        let (side, _) = self.side(which);
+        let rows = side.fold_hops(&mut Eager, &self.params, self.cfg.fanout, target, deeper, |_, nodes| {
+            Arc::new(self.embed(which, nodes))
+        });
+        into_matrix(rows)
     }
 
     /// Threads a side forward over `rows` targets runs on: one per
@@ -483,26 +391,16 @@ impl InferenceEngine {
         Matrix::vstack(&parts)
     }
 
-    /// Prediction layer (Eq. 14) on aggregated embeddings — mirrors
-    /// `Agnn::predict_scores`.
-    fn predict_scores(&self, p_user: &Matrix, q_item: &Matrix, users: &[usize], items: &[usize]) -> Matrix {
-        let cat = Matrix::hconcat(&[p_user, q_item]);
-        let mlp_out = self.pred_mlp.forward(&cat); // B × 1
-        let prod = ops::mul(p_user, q_item);
-        let dot = ops::sum_cols(&prod); // B × 1
-        let bu = self.user.bias.gather_rows(users);
-        let bi = self.item.bias.gather_rows(items);
-        let mu_rows = ops::repeat_rows(&self.global_bias, users.len());
-        let s1 = ops::add(&mlp_out, &dot);
-        let s2 = ops::add(&bu, &bi);
-        let s3 = ops::add(&s1, &s2);
-        ops::add(&s3, &mu_rows)
+    /// Prediction layer (Eq. 14) on aggregated embeddings.
+    fn predict_scores(&self, p_user: Matrix, q_item: Matrix, users: &[usize], items: &[usize]) -> Matrix {
+        let (p_user, q_item) = (Arc::new(p_user), Arc::new(q_item));
+        into_matrix(self.modules.predict(&mut Eager, &self.params, p_user, q_item, users, items))
     }
 
     /// Scores `(user, item)` pairs: one request through
     /// [`InferenceEngine::score_coalesced`]. Protocol-identical to
-    /// `Agnn::predict_batch`: 512-pair chunks, a fixed-seed rng shared
-    /// across the whole call, and per chunk one deterministic
+    /// `Agnn::predict_batch`: [`EVAL_CHUNK`]-pair chunks, one [`eval_rng`]
+    /// shared across the whole call, and per chunk one deterministic
     /// top-neighborhood pass plus [`EVAL_NEIGHBORHOOD_SAMPLES`] sampled
     /// passes, averaged. Panics on out-of-range ids.
     pub fn score_batch(&self, pairs: &[(u32, u32)]) -> Vec<f32> {
@@ -561,9 +459,9 @@ impl InferenceEngine {
             metrics::counter_add("infer.score.warm_pairs", (total - scs) as u64);
         }
         let mut rngs: Vec<StdRng> =
-            requests.iter().map(|_| StdRng::seed_from_u64(self.cfg.seed ^ 0x5eed)).collect();
+            requests.iter().map(|_| eval_rng(&self.cfg)).collect();
         let mut outs: Vec<Vec<f32>> = requests.iter().map(|r| Vec::with_capacity(r.len())).collect();
-        let rounds = requests.iter().map(|r| r.len().div_ceil(CHUNK)).max().unwrap_or(0);
+        let rounds = requests.iter().map(|r| r.len().div_ceil(EVAL_CHUNK)).max().unwrap_or(0);
         let passes = 1 + EVAL_NEIGHBORHOOD_SAMPLES;
         for round in 0..rounds {
             metrics::timed("infer.score.chunk_ns", || {
@@ -572,8 +470,8 @@ impl InferenceEngine {
                 let segs: Vec<(usize, &[(u32, u32)])> = requests
                     .iter()
                     .enumerate()
-                    .filter(|(_, r)| round * CHUNK < r.len())
-                    .map(|(j, r)| (j, &r[round * CHUNK..r.len().min((round + 1) * CHUNK)]))
+                    .filter(|(_, r)| round * EVAL_CHUNK < r.len())
+                    .map(|(j, r)| (j, &r[round * EVAL_CHUNK..r.len().min((round + 1) * EVAL_CHUNK)]))
                     .collect();
                 let users: Vec<usize> =
                     segs.iter().flat_map(|(_, c)| c.iter().map(|&(u, _)| u as usize)).collect();
@@ -590,7 +488,7 @@ impl InferenceEngine {
                         self.coalesced_side(Side::Item, &segs, &items, sample, &mut rngs, memo)
                     });
                     let scores =
-                        metrics::timed("infer.score.predict_ns", || self.predict_scores(&pu, &qi, &users, &items));
+                        metrics::timed("infer.score.predict_ns", || self.predict_scores(pu, qi, &users, &items));
                     for (a, &v) in acc.iter_mut().zip(scores.as_slice()) {
                         *a += v;
                     }
@@ -604,17 +502,6 @@ impl InferenceEngine {
             });
         }
         outs
-    }
-
-    /// Whether a pass draws from the rng on `which` side. Neighborhood
-    /// sampling only happens on sampled passes of dynamic graph variants
-    /// with at least one GNN hop; everywhere else the eval path is fully
-    /// deterministic (`top_neighbors`) and consumes no randomness.
-    fn pass_consumes_rng(&self, which: Side, sample: bool) -> bool {
-        sample
-            && self.cfg.variant.gnn != GnnKind::None
-            && !self.side_state_of(which).gnn.is_empty()
-            && matches!(self.cfg.variant.graph, GraphKind::Dynamic(_) | GraphKind::CoPurchase)
     }
 
     /// One side of a coalesced pass over the round's level-0 `nodes` (the
@@ -637,7 +524,8 @@ impl InferenceEngine {
         rngs: &mut [StdRng],
         memo: Option<(&ItemMemo, (usize, usize))>,
     ) -> Matrix {
-        if let (false, Some(table)) = (self.pass_consumes_rng(which, sample), &self.side_state_of(which).pass0) {
+        let (side, data) = self.side(which);
+        if let (false, Some(table)) = (side.draws_rng(&self.cfg, sample), &data.pass0) {
             return table.gather_rows(nodes);
         }
         let mut off = 0usize;
@@ -647,7 +535,7 @@ impl InferenceEngine {
                 let seg_nodes = &nodes[off..off + chunk.len()];
                 off += chunk.len();
                 // invariant: segs only holds indices < rngs.len(), offsets partition nodes
-                self.draw_levels(which, seg_nodes, sample, &mut rngs[j])
+                side.draw_levels(&self.cfg, &data.pools, seg_nodes, sample, &mut rngs[j])
             })
             .collect();
         let depth = per_seg.iter().map(Vec::len).max().unwrap_or(1);
@@ -867,7 +755,7 @@ mod tests {
         }
         // Both classes are stored: two entries per (round, sampled pass),
         // and never more.
-        let rounds = data.num_items.div_ceil(CHUNK);
+        let rounds = data.num_items.div_ceil(EVAL_CHUNK);
         let want: Vec<((usize, usize), usize)> =
             (0..rounds).flat_map(|round| (1..=EVAL_NEIGHBORHOOD_SAMPLES).map(move |pass| ((round, pass), 2))).collect();
         assert_eq!(occupancy(&engine), want);

@@ -2,16 +2,18 @@
 //!
 //! Training builds an autograd tape so gradients can flow; serving never
 //! needs gradients, so every tape node, `Var` handle and backward closure
-//! is pure overhead there. This crate re-implements AGNN's forward pass —
-//! attribute interaction, eVAE decode, gated-GNN, prediction layer — as
-//! direct [`agnn_tensor::ops`] kernel calls over a [`ModelSnapshot`]
-//! exported by `agnn train --save`.
+//! is pure overhead there. This crate runs AGNN's one forward body
+//! (`agnn_core::AgnnModules`, generic over [`agnn_autograd::Ops`]) eagerly:
+//! each op is evaluated at once, through the tape's own kernel table
+//! ([`agnn_autograd::graph::eval`]), over parameters resolved from a
+//! [`ModelSnapshot`] exported by `agnn train --save`.
 //!
 //! The contract is strict: for any pair batch, [`InferenceEngine::score_batch`]
 //! returns scores **bit-identical** (`f32::to_bits`) to
 //! `Agnn::predict_batch` on the same trained model. That holds because both
-//! paths call the same kernels (one body each) in the same order with the
-//! same operands — the
+//! run the same layer code, whose ops call the same kernels in the same
+//! order with the same operands; the one coarse op the engine computes
+//! differently (`Ops::attr_sums`) states its own argument. The
 //! [`conformance`] module and the `agnn-infer` test suite enforce it.
 //!
 //! On top of the plain forward, [`InferenceEngine::materialize`] precomputes
@@ -27,7 +29,7 @@
 //! [`ModelSnapshot`]: agnn_core::ModelSnapshot
 
 pub mod conformance;
+mod eager;
 mod engine;
-mod layers;
 
 pub use engine::{InferenceEngine, Side};

@@ -1,14 +1,16 @@
 //! Never-panic sweep over a trained snapshot file: a truncated or
 //! byte-edited file goes through `ModelSnapshot::from_json_str` and, when
 //! that succeeds, `InferenceEngine::from_snapshot`, and each ends in `Ok`
-//! or `Err`, never a panic. Layer shapes that only fail once a forward
-//! runs are not exercised here; config fields that lie about them are.
+//! or `Err`, never a panic. Config fields that lie about the layer shapes,
+//! and parameters whose own shape lies, are load errors.
 
 use agnn_core::variants::VariantName;
-use agnn_core::{Agnn, AgnnConfig, ModelSnapshot, RatingModel};
+use agnn_core::{Agnn, AgnnConfig, ModelSnapshot, ParamEntry, RatingModel};
 use agnn_data::tracer;
 use agnn_infer::conformance::tracer_config;
 use agnn_infer::InferenceEngine;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn load(text: &str) -> Result<InferenceEngine, String> {
     let snap = ModelSnapshot::from_json_str(text).map_err(|e| e.to_string())?;
@@ -87,4 +89,38 @@ fn configs_that_lie_are_load_errors() {
     // An embed_dim unlike the parameters' width used to load and serve.
     let wider = with(AgnnConfig { embed_dim: cfg.embed_dim + 1, ..cfg });
     assert!(wider.contains("wide for embed_dim 9"), "{wider}");
+}
+
+#[test]
+fn misshaped_parameters_are_load_errors() {
+    let data = tracer::dataset();
+    let split = tracer::split(&data);
+    let mut rng = StdRng::seed_from_u64(23);
+    // Between them these variants register every layer kind: the gated
+    // GNN's gates, GCN, GAT, the eVAE, the Mask token and decoder, the
+    // linear auto-encoder, and every variant's attribute interaction,
+    // fuse, embeddings, prediction MLP and global bias.
+    for variant in [VariantName::Full, VariantName::Gcn, VariantName::Gat, VariantName::Mask, VariantName::Llae] {
+        let mut model = Agnn::new(AgnnConfig { epochs: 0, ..tracer_config(variant) });
+        model.fit(&data, &split);
+        let snap = model.export_snapshot().unwrap();
+        InferenceEngine::from_snapshot(&snap).unwrap();
+        for (at, entry) in snap.params.iter().enumerate() {
+            // One row or column more or fewer, never an empty matrix.
+            let (rows, cols) = match rng.gen_range(0..4) {
+                0 => (entry.rows + 1, entry.cols),
+                1 if entry.rows > 1 => (entry.rows - 1, entry.cols),
+                2 => (entry.rows, entry.cols + 1),
+                _ if entry.cols > 1 => (entry.rows, entry.cols - 1),
+                _ => (entry.rows + 1, entry.cols),
+            };
+            let mut params = snap.params.clone();
+            params[at] = ParamEntry { name: entry.name.clone(), rows, cols, data: vec![0.25; rows * cols] };
+            let edited = ModelSnapshot { params, ..snap.clone() };
+            let err = load(&edited.to_json_string()).map(|_| ()).unwrap_err();
+            // A preference table's row count is checked against the side's
+            // node data first; every other error names the parameter.
+            assert!(err.contains(&entry.name) || err.contains("preference rows"), "{variant:?} {}: {err}", entry.name);
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //! invariant checks — identifiers, string/char/number literals, single-char
 //! punctuation, and line comments (kept, because `// lint:allow(...)` and
 //! `// invariant:` annotations live there). Block comments and doc comments
-//! are skipped entirely, so prose mentioning `rayon` or `unwrap` never
+//! are skipped entirely, so prose mentioning `unwrap` or `expect` never
 //! trips a rule. This is deliberately not a parser: every rule in
 //! [`crate::rules`] is phrased over token adjacency and bracket depth,
 //! which the lexer provides exactly.
@@ -10,7 +10,7 @@
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`fn`, `rayon`, `unwrap`, ...).
+    /// Identifier or keyword (`fn`, `let`, `unwrap`, ...).
     Ident,
     /// String literal; `text` holds the unescaped-ish body (escapes copied
     /// verbatim minus the backslash), without quotes.
@@ -310,10 +310,10 @@ mod tests {
 
     #[test]
     fn comments_are_captured_not_tokenized() {
-        let lexed = lex("let a = 1; // lint:allow(raw-rayon): reason\n/* rayon in a block comment */ let b = 2;");
+        let lexed = lex("let a = 1; // lint:allow(panic-site): reason\n/* unwrap in a block comment */ let b = 2;");
         assert_eq!(lexed.comments.len(), 1);
-        assert!(lexed.comments[0].text.contains("lint:allow(raw-rayon)"));
-        assert!(!lexed.toks.iter().any(|t| t.text.contains("rayon")));
+        assert!(lexed.comments[0].text.contains("lint:allow(panic-site)"));
+        assert!(!lexed.toks.iter().any(|t| t.text.contains("unwrap")));
     }
 
     #[test]

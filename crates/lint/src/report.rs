@@ -8,7 +8,7 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule ID, e.g. `raw-rayon` (see [`crate::rules`] for the family list).
+    /// Rule ID, e.g. `panic-site` (see [`crate::rules`] for the family list).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub file: String,
@@ -166,13 +166,13 @@ mod tests {
 
     #[test]
     fn json_shape_and_escaping() {
-        let mut r = Report { files_scanned: 1, findings: vec![f("raw-rayon", "crates/x/src/lib.rs", 3, 7)] };
+        let mut r = Report { files_scanned: 1, findings: vec![f("panic-site", "crates/x/src/lib.rs", 3, 7)] };
         r.findings[0].snippet = "emit(\"a\\b\")\t".into();
         r.finalize();
         let j = r.to_json();
         assert!(j.starts_with("{\"tool\":\"agnn-lint\",\"version\":1,"));
         assert!(j.contains("\"violations\":1"));
-        assert!(j.contains("\"rule\":\"raw-rayon\""));
+        assert!(j.contains("\"rule\":\"panic-site\""));
         assert!(j.contains("\"line\":3,\"col\":7"));
         assert!(j.contains("emit(\\\"a\\\\b\\\")\\t"));
     }
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn table_lists_every_finding() {
-        let mut r = Report { files_scanned: 2, findings: vec![f("panic-site", "a.rs", 1, 2), f("raw-rayon", "b.rs", 10, 4)] };
+        let mut r = Report { files_scanned: 2, findings: vec![f("panic-site", "a.rs", 1, 2), f("metric-unused", "b.rs", 10, 4)] };
         r.finalize();
         let t = r.to_table();
         assert!(t.contains("a.rs:1:2"));

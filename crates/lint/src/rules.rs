@@ -1,13 +1,6 @@
-//! The three rule families from DESIGN.md §5b8, implemented over the lexed
+//! The two rule families from DESIGN.md §5b8, implemented over the lexed
 //! token stream:
 //!
-//! - `raw-rayon` / `float-reassoc` — parallelism and float determinism:
-//!   every rayon use needs a justified allow comment (the dense kernels are
-//!   single-threaded; serving parallelizes across requests, and across row
-//!   blocks of one side forward on idle cores, with scoped std threads), and
-//!   a parallel chain may regroup elements but never reassociate an
-//!   accumulation chain, so `.fold`/`.reduce`/`.sum`/`.product` directly on
-//!   a parallel iterator is forbidden.
 //! - `metric-undeclared` / `metric-unused` — telemetry names: every name
 //!   emitted through `agnn-obs` must exist in the registry module and every
 //!   registered name must be emitted somewhere.
@@ -23,33 +16,12 @@ use crate::source::SourceFile;
 
 /// Every valid rule ID, for `lint:allow(...)` validation.
 pub const RULES: &[&str] = &[
-    "raw-rayon",
-    "float-reassoc",
     "metric-undeclared",
     "metric-unused",
     "panic-site",
     "allow-unknown-rule",
     "allow-missing-justification",
 ];
-
-/// Rayon parallel-iterator adaptors whose presence marks code as parallel.
-const PAR_ADAPTORS: &[&str] = &[
-    "par_iter",
-    "par_iter_mut",
-    "into_par_iter",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_chunks_exact",
-    "par_chunks_exact_mut",
-    "par_windows",
-    "par_bridge",
-    "par_extend",
-    "par_sort",
-    "par_sort_unstable",
-];
-
-/// Chain terminators that reassociate a float accumulation.
-const REASSOC_METHODS: &[&str] = &["fold", "reduce", "sum", "product"];
 
 /// `agnn-obs` functions whose first string-literal argument is a telemetry
 /// name (emit sites and snapshot lookups).
@@ -79,8 +51,6 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> Report {
     let mut out = Vec::new();
     for f in files {
         check_allow_comments(f, &mut out);
-        check_raw_rayon(f, &mut out);
-        check_float_reassoc(f, &mut out);
         if cfg.panic_paths.iter().any(|p| f.path.starts_with(p.as_str())) {
             check_panic_sites(f, &mut out);
         }
@@ -124,92 +94,6 @@ fn check_allow_comments(f: &SourceFile, out: &mut Vec<Finding>) {
                 ),
                 snippet: f.snippet(a.line),
             });
-        }
-    }
-}
-
-/// Parallelism discipline: every rayon use in shipped code carries a
-/// justified allow comment saying why its elements are independent.
-fn check_raw_rayon(f: &SourceFile, out: &mut Vec<Finding>) {
-    for t in &f.lexed.toks {
-        if f.is_test_line(t.line) || t.kind != crate::lexer::TokKind::Ident {
-            continue;
-        }
-        if t.text == "rayon" {
-            push(
-                f,
-                "raw-rayon",
-                t.line,
-                t.col,
-                "raw `rayon` use; justify it with `// lint:allow(raw-rayon): <why elements are independent>`".into(),
-                out,
-            );
-        } else if PAR_ADAPTORS.contains(&t.text.as_str()) {
-            push(
-                f,
-                "raw-rayon",
-                t.line,
-                t.col,
-                format!(
-                    "parallel adaptor `{}`; justify it with `// lint:allow(raw-rayon): <why elements are independent>`",
-                    t.text
-                ),
-                out,
-            );
-        }
-    }
-}
-
-/// Float determinism: from each parallel adaptor, walk the method chain at
-/// the adaptor's own nesting depth (closure bodies sit deeper and are
-/// exempt — regrouping elements inside a block is the approved pattern) and
-/// flag any fold/reduce/sum/product, which reassociates the accumulation
-/// chain nondeterministically across split points.
-fn check_float_reassoc(f: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &f.lexed.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if f.is_test_line(t.line) || !PAR_ADAPTORS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if t.kind != crate::lexer::TokKind::Ident {
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut j = i + 1;
-        while j < toks.len() {
-            let tok = &toks[j];
-            if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') {
-                depth += 1;
-            } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    break;
-                }
-            } else if depth == 0 {
-                if tok.is_punct(';') {
-                    break;
-                }
-                if tok.is_punct('.') && j + 2 < toks.len() {
-                    let m = &toks[j + 1];
-                    let call = toks[j + 2].is_punct('(') || toks[j + 2].is_punct(':');
-                    if call && REASSOC_METHODS.contains(&m.text.as_str()) {
-                        push(
-                            f,
-                            "float-reassoc",
-                            m.line,
-                            m.col,
-                            format!(
-                                "`.{}` on a parallel iterator reassociates the accumulation chain; \
-                                 partition into disjoint blocks accumulated in serial order instead \
-                                 (DESIGN.md §5b8: regroup elements, never reassociate a chain)",
-                                m.text
-                            ),
-                            out,
-                        );
-                    }
-                }
-            }
-            j += 1;
         }
     }
 }

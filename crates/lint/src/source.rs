@@ -13,7 +13,7 @@ use crate::lexer::{lex, Lexed};
 /// A parsed `lint:allow` comment.
 #[derive(Debug, Clone)]
 pub struct Allow {
-    /// Rule ID between the parens, e.g. `raw-rayon`.
+    /// Rule ID between the parens, e.g. `panic-site`.
     pub rule: String,
     /// Line the comment sits on.
     pub line: u32,
@@ -172,22 +172,22 @@ mod tests {
     #[test]
     fn trailing_and_standalone_allows_cover_their_lines() {
         let src = "\
-use rayon::prelude::*; // lint:allow(raw-rayon): per-node independent\n\
+let a = v[0]; // lint:allow(panic-site): v is never empty\n\
 \n\
-// lint:allow(raw-rayon): standalone form\n\
+// lint:allow(panic-site): standalone form\n\
 let x = 1;\n";
         let f = SourceFile::parse("a.rs", src);
-        assert!(f.allowed("raw-rayon", 1));
-        assert!(f.allowed("raw-rayon", 4), "standalone allow must cover the next token line");
-        assert!(!f.allowed("raw-rayon", 2));
-        assert!(!f.allowed("panic-site", 1), "allow is per-rule");
+        assert!(f.allowed("panic-site", 1));
+        assert!(f.allowed("panic-site", 4), "standalone allow must cover the next token line");
+        assert!(!f.allowed("panic-site", 2));
+        assert!(!f.allowed("metric-unused", 1), "allow is per-rule");
     }
 
     #[test]
     fn justification_is_detected() {
         let f = SourceFile::parse(
             "a.rs",
-            "let a = 1; // lint:allow(raw-rayon)\nlet b = 2; // lint:allow(panic-site): reason\nlet c = 3; // lint:allow(x):   \n",
+            "let a = 1; // lint:allow(panic-site)\nlet b = 2; // lint:allow(panic-site): reason\nlet c = 3; // lint:allow(x):   \n",
         );
         assert_eq!(f.allows.len(), 3);
         assert!(!f.allows[0].justified);

@@ -79,6 +79,7 @@ impl TrainHook for TelemetryHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agnn_autograd::Ops;
     use crate::config::TrainConfig;
     use crate::hooks::HookList;
     use crate::step::StepLosses;

@@ -180,6 +180,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agnn_autograd::Ops;
     use crate::hooks::{EarlyStopping, TrainHook, Validation};
     use agnn_autograd::loss;
     use agnn_data::Rating;
