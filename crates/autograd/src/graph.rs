@@ -573,11 +573,6 @@ impl Graph {
         &self.issues
     }
 
-    /// Whether this tape was built with [`Graph::new_checked`].
-    pub fn is_checked(&self) -> bool {
-        self.checked
-    }
-
     /// The Var at tape position `index` (inverse of [`Var::index`], used by
     /// analyzers that store plain indices).
     pub fn var_at(&self, index: usize) -> Var {

@@ -1,42 +1,13 @@
 //! Fig. 5 — impact of the latent vector dimension D ∈ {10, 20, 30, 40, 50}
 //! on strict cold start RMSE (λ = 1, p = 5 fixed).
 
-use agnn_bench::runner::{log_json, paper_split, run_cell};
+use agnn_bench::runner::run_knob_sweep;
 use agnn_bench::HarnessArgs;
-use agnn_core::{Agnn, AgnnConfig};
-use agnn_data::ColdStartKind;
 
 fn main() {
     let args = HarnessArgs::parse(std::env::args());
-    let dims = [10usize, 20, 30, 40, 50];
-    for &preset in &args.datasets {
-        let data = args.generate(preset);
-        println!("== Fig. 5 — {} (RMSE vs D) ==", preset.name());
-        println!("{:>6} {:>10} {:>10}", "D", "ICS", "UCS");
-        for d in dims {
-            let mut row = Vec::new();
-            for scenario in [ColdStartKind::StrictItem, ColdStartKind::StrictUser] {
-                let split = paper_split(&data, scenario, args.seed);
-                let cfg = AgnnConfig {
-                    embed_dim: d,
-                    vae_latent_dim: (d / 2).max(2),
-                    epochs: args.epochs,
-                    seed: args.seed,
-                    lr: args.lr_for(preset),
-                    ..AgnnConfig::default()
-                };
-                let mut model = Agnn::new(cfg);
-                let cell = run_cell(&mut model, &data, &split, scenario);
-                log_json(&args.out_dir, "fig5", &[
-                    ("dataset", preset.name().into()),
-                    ("scenario", scenario.abbrev().into()),
-                    ("D", d.into()),
-                    ("rmse", cell.rmse.into()),
-                    ("mae", cell.mae.into()),
-                ]);
-                row.push(cell.rmse);
-            }
-            println!("{:>6} {:>10.4} {:>10.4}", d, row[0], row[1]);
-        }
-    }
+    run_knob_sweep(&args, 5, "D", "D", &[10usize, 20, 30, 40, 50], |cfg, d| {
+        cfg.embed_dim = d;
+        cfg.vae_latent_dim = (d / 2).max(2);
+    });
 }

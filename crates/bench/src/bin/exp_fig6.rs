@@ -1,35 +1,10 @@
 //! Fig. 6 — impact of the reconstruction-loss weight λ ∈ {0, 0.01, 0.1, 1, 10}
 //! (D = 40, p = 5 fixed).
 
-use agnn_bench::runner::{log_json, paper_split, run_cell};
+use agnn_bench::runner::run_knob_sweep;
 use agnn_bench::HarnessArgs;
-use agnn_core::{Agnn, AgnnConfig};
-use agnn_data::ColdStartKind;
 
 fn main() {
     let args = HarnessArgs::parse(std::env::args());
-    let lambdas = [0.0f32, 0.01, 0.1, 1.0, 10.0];
-    for &preset in &args.datasets {
-        let data = args.generate(preset);
-        println!("== Fig. 6 — {} (RMSE vs λ) ==", preset.name());
-        println!("{:>8} {:>10} {:>10}", "lambda", "ICS", "UCS");
-        for lambda in lambdas {
-            let mut row = Vec::new();
-            for scenario in [ColdStartKind::StrictItem, ColdStartKind::StrictUser] {
-                let split = paper_split(&data, scenario, args.seed);
-                let cfg = AgnnConfig { lambda, epochs: args.epochs, seed: args.seed, lr: args.lr_for(preset), ..AgnnConfig::default() };
-                let mut model = Agnn::new(cfg);
-                let cell = run_cell(&mut model, &data, &split, scenario);
-                log_json(&args.out_dir, "fig6", &[
-                    ("dataset", preset.name().into()),
-                    ("scenario", scenario.abbrev().into()),
-                    ("lambda", lambda.into()),
-                    ("rmse", cell.rmse.into()),
-                    ("mae", cell.mae.into()),
-                ]);
-                row.push(cell.rmse);
-            }
-            println!("{:>8} {:>10.4} {:>10.4}", lambda, row[0], row[1]);
-        }
-    }
+    run_knob_sweep(&args, 6, "lambda", "λ", &[0.0f32, 0.01, 0.1, 1.0, 10.0], |cfg, lambda| cfg.lambda = lambda);
 }

@@ -1,35 +1,10 @@
 //! Fig. 7 — impact of the candidate-pool threshold p ∈ {1, 5, 10, 15, 20}
 //! (D = 40, λ = 1 fixed). The paper finds the curves essentially flat.
 
-use agnn_bench::runner::{log_json, paper_split, run_cell};
+use agnn_bench::runner::run_knob_sweep;
 use agnn_bench::HarnessArgs;
-use agnn_core::{Agnn, AgnnConfig};
-use agnn_data::ColdStartKind;
 
 fn main() {
     let args = HarnessArgs::parse(std::env::args());
-    let thresholds = [1.0f32, 5.0, 10.0, 15.0, 20.0];
-    for &preset in &args.datasets {
-        let data = args.generate(preset);
-        println!("== Fig. 7 — {} (RMSE vs p) ==", preset.name());
-        println!("{:>6} {:>10} {:>10}", "p", "ICS", "UCS");
-        for p in thresholds {
-            let mut row = Vec::new();
-            for scenario in [ColdStartKind::StrictItem, ColdStartKind::StrictUser] {
-                let split = paper_split(&data, scenario, args.seed);
-                let cfg = AgnnConfig { top_percent: p, epochs: args.epochs, seed: args.seed, lr: args.lr_for(preset), ..AgnnConfig::default() };
-                let mut model = Agnn::new(cfg);
-                let cell = run_cell(&mut model, &data, &split, scenario);
-                log_json(&args.out_dir, "fig7", &[
-                    ("dataset", preset.name().into()),
-                    ("scenario", scenario.abbrev().into()),
-                    ("p", p.into()),
-                    ("rmse", cell.rmse.into()),
-                    ("mae", cell.mae.into()),
-                ]);
-                row.push(cell.rmse);
-            }
-            println!("{:>6} {:>10.4} {:>10.4}", p, row[0], row[1]);
-        }
-    }
+    run_knob_sweep(&args, 7, "p", "p", &[1.0f32, 5.0, 10.0, 15.0, 20.0], |cfg, p| cfg.top_percent = p);
 }

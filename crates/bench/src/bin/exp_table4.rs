@@ -1,49 +1,9 @@
 //! Table 4 — replacement study: graph constructions, aggregators, cold-start modules swapped for baseline techniques.
 
-use agnn_bench::runner::{log_json, paper_split, run_cell};
-use agnn_bench::table::render_metric_table;
+use agnn_bench::runner::run_variant_table;
 use agnn_bench::HarnessArgs;
 use agnn_core::variants::VariantName;
-use agnn_core::AgnnConfig;
-use agnn_data::ColdStartKind;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args());
-    let scenarios = [ColdStartKind::StrictItem, ColdStartKind::StrictUser];
-    for &preset in &args.datasets {
-        let data = args.generate(preset);
-        let mut columns = Vec::new();
-        let mut rows: Vec<(String, Vec<Option<f64>>)> = VariantName::TABLE4
-            .iter()
-            .map(|v| (v.label().to_string(), Vec::new()))
-            .collect();
-        for scenario in scenarios {
-            let split = paper_split(&data, scenario, args.seed);
-            for (vi, variant) in VariantName::TABLE4.into_iter().enumerate() {
-                let cfg = AgnnConfig { epochs: args.epochs, seed: args.seed, lr: args.lr_for(preset), ..AgnnConfig::default() };
-                let mut model = variant.build(cfg);
-                let cell = run_cell(&mut model, &data, &split, scenario);
-                eprintln!(
-                    "[table4] {} {} {}: rmse {:.4} mae {:.4}",
-                    preset.name(),
-                    scenario.abbrev(),
-                    variant.label(),
-                    cell.rmse,
-                    cell.mae
-                );
-                log_json(&args.out_dir, "table4", &[
-                    ("variant", variant.label().into()),
-                    ("dataset", preset.name().into()),
-                    ("scenario", scenario.abbrev().into()),
-                    ("rmse", cell.rmse.into()),
-                    ("mae", cell.mae.into()),
-                ]);
-                rows[vi].1.push(Some(cell.rmse));
-                rows[vi].1.push(Some(cell.mae));
-            }
-            columns.push(format!("{} RMSE", scenario.abbrev()));
-            columns.push(format!("{} MAE", scenario.abbrev()));
-        }
-        println!("\n{}", render_metric_table(&format!("Table 4 (replacement) — {}", preset.name()), &columns, &rows));
-    }
+    run_variant_table(&HarnessArgs::parse(std::env::args()), 4, "replacement", &VariantName::TABLE4);
 }

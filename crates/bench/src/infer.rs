@@ -7,25 +7,17 @@
 //! serving configuration. Each row reports p50/p99 latency for both paths,
 //! the engine's requests/sec, the tape→engine speedup, and whether the two
 //! paths agreed bit for bit (they must; CI gates on it).
-//!
-//! JSON is emitted by hand, field by field, so the `BENCH_infer.json`
-//! schema is stable.
 
+use crate::harness::{artifact_json, collect_metrics, time_reps, Fixture, FixtureInfo, FixtureSpec, Sweep};
 use crate::percentile;
-use agnn_core::{Agnn, AgnnConfig, RatingModel};
-use agnn_data::{ColdStartKind, Preset, Split, SplitConfig};
-use agnn_infer::InferenceEngine;
+use agnn_core::RatingModel;
 use std::time::Instant;
 
-/// Benchmark configuration: model/fit shape and the batch-size sweep.
+/// Benchmark configuration: the fixture and the batch-size sweep.
 #[derive(Debug, Clone)]
 pub struct InferBenchConfig {
-    /// Dataset scale passed to [`Preset::Ml100k`] generation.
-    pub scale: f64,
-    /// Training epochs (the model just needs trained-shaped weights).
-    pub epochs: usize,
-    /// Seed for generation, split and fit.
-    pub seed: u64,
+    /// The fitted model the sweep scores with.
+    pub fixture: FixtureSpec,
     /// Request batch sizes to sweep.
     pub batch_sizes: Vec<usize>,
     /// Timed repetitions per (path, batch size); percentiles come from these.
@@ -37,13 +29,13 @@ pub struct InferBenchConfig {
 impl InferBenchConfig {
     /// Full sweep: serving-shaped batches from single pairs up to chunks.
     pub fn representative() -> Self {
-        Self { scale: 0.1, epochs: 2, seed: 7, batch_sizes: vec![1, 16, 64, 256], reps: 30, warmup: 3 }
+        Self { fixture: FixtureSpec::REPRESENTATIVE, batch_sizes: vec![1, 16, 64, 256], reps: 30, warmup: 3 }
     }
 
     /// Tiny sweep for CI: exercises both paths and the bit-identity gate
     /// in a few seconds.
     pub fn smoke() -> Self {
-        Self { scale: 0.05, epochs: 1, seed: 7, batch_sizes: vec![1, 16], reps: 5, warmup: 1 }
+        Self { fixture: FixtureSpec::SMOKE, batch_sizes: vec![1, 16], reps: 5, warmup: 1 }
     }
 }
 
@@ -95,14 +87,8 @@ impl InferTiming {
 /// Everything `agnn bench --infer` measured.
 #[derive(Debug, Clone)]
 pub struct InferBenchReport {
-    /// Dataset the model was fitted on.
-    pub dataset: String,
-    /// User count.
-    pub users: usize,
-    /// Item count.
-    pub items: usize,
-    /// Hardware threads on the host that ran the sweep.
-    pub threads: usize,
+    /// Dataset the model was fitted on, and the host.
+    pub fixture: FixtureInfo,
     /// Timed repetitions behind each percentile.
     pub reps: usize,
     /// Wall-clock cost of [`InferenceEngine::materialize`], nanoseconds.
@@ -121,46 +107,39 @@ impl InferBenchReport {
         self.results.iter().all(|r| r.identical)
     }
 
-    /// The `BENCH_infer.json` document (stable hand-written schema).
+    /// The `BENCH_infer.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"infer\",\n");
-        out.push_str(&format!("  \"dataset\": \"{}\",\n", self.dataset));
-        out.push_str(&format!("  \"users\": {},\n", self.users));
-        out.push_str(&format!("  \"items\": {},\n", self.items));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"reps\": {},\n", self.reps));
-        out.push_str(&format!("  \"materialize_ns\": {},\n", self.materialize_ns));
-        out.push_str(&format!("  \"all_identical\": {},\n", self.all_identical()));
-        out.push_str(&format!("  \"metrics\": {},\n", self.metrics.render_json()));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 == self.results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"batch\": {}, \"tape_p50_ns\": {}, \"tape_p99_ns\": {}, \"free_p50_ns\": {}, \"free_p99_ns\": {}, \"requests_per_sec\": {:.1}, \"speedup\": {:.3}, \"identical\": {}}}{}\n",
-                r.batch,
-                r.tape_p50(),
-                r.tape_p99(),
-                r.free_p50(),
-                r.free_p99(),
-                r.requests_per_sec(),
-                r.speedup(),
-                r.identical,
-                comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let mut header = self.fixture.header();
+        header.extend([
+            ("reps", self.reps.to_string()),
+            ("materialize_ns", self.materialize_ns.to_string()),
+            ("all_identical", self.all_identical().to_string()),
+        ]);
+        let rows: Vec<_> = self
+            .results
+            .iter()
+            .map(|r| {
+                vec![
+                    ("batch", r.batch.to_string()),
+                    ("tape_p50_ns", r.tape_p50().to_string()),
+                    ("tape_p99_ns", r.tape_p99().to_string()),
+                    ("free_p50_ns", r.free_p50().to_string()),
+                    ("free_p99_ns", r.free_p99().to_string()),
+                    ("requests_per_sec", format!("{:.1}", r.requests_per_sec())),
+                    ("speedup", format!("{:.3}", r.speedup())),
+                    ("identical", r.identical.to_string()),
+                ]
+            })
+            .collect();
+        artifact_json(Sweep::Infer, &header, &self.metrics, &rows)
     }
 
     /// Human-readable table for stdout.
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "infer bench · {} ({} users × {} items) · {} thread(s) · {} rep(s) · materialize {:.1}ms\n{:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}  {}\n",
-            self.dataset,
-            self.users,
-            self.items,
-            self.threads,
+            "infer bench · {} · {} thread(s) · {} rep(s) · materialize {:.1}ms\n{:>6} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}  {}\n",
+            self.fixture.title(),
+            self.fixture.threads,
             self.reps,
             self.materialize_ns as f64 / 1e6,
             "batch",
@@ -202,71 +181,32 @@ fn pair_batch(n: usize, users: usize, items: usize) -> Vec<(u32, u32)> {
         .collect()
 }
 
-fn timed_reps(reps: usize, warmup: usize, f: impl Fn() -> Vec<f32>) -> (Vec<u64>, Vec<f32>) {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut times = Vec::with_capacity(reps);
-    let mut out = Vec::new();
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        out = std::hint::black_box(f());
-        times.push(t.elapsed().as_nanos() as u64);
-    }
-    times.sort_unstable();
-    (times, out)
-}
-
 /// Fits the model, materializes the engine, and runs the sweep.
-pub fn run_infer_bench(cfg: &InferBenchConfig) -> InferBenchReport {
-    let data = Preset::Ml100k.generate(cfg.scale, cfg.seed);
-    let split = Split::create(&data, SplitConfig::paper_default(ColdStartKind::StrictItem, cfg.seed));
-    let model_cfg = AgnnConfig {
-        embed_dim: 16,
-        vae_latent_dim: 8,
-        fanout: 5,
-        epochs: cfg.epochs,
-        batch_size: 64,
-        seed: cfg.seed,
-        ..AgnnConfig::default()
-    };
-    let mut model = Agnn::new(model_cfg);
-    model.fit(&data, &split);
-    let snap = model.export_snapshot().expect("fitted model snapshots");
-    let mut engine = InferenceEngine::from_snapshot(&snap).expect("snapshot resolves");
+pub fn run_infer_bench(cfg: &InferBenchConfig) -> Result<InferBenchReport, String> {
+    let Fixture { data, model, mut engine } = cfg.fixture.build()?;
     // Collect the engine's own instrumentation over materialize + sweep so
     // the artifact records cache traffic and per-stage latency next to the
     // end-to-end numbers. Enabled after the fit, so training noise stays
     // out; the tape path is uninstrumented either way.
-    let metrics_was = agnn_obs::metrics::enabled();
-    agnn_obs::metrics::reset();
-    agnn_obs::metrics::set_enabled(true);
-    let t = Instant::now();
-    engine.materialize();
-    let materialize_ns = t.elapsed().as_nanos() as u64;
-
-    let mut results = Vec::with_capacity(cfg.batch_sizes.len());
-    for &batch in &cfg.batch_sizes {
-        let pairs = pair_batch(batch, data.num_users, data.num_items);
-        let (tape_ns, tape_out) = timed_reps(cfg.reps, cfg.warmup, || model.predict_batch(&pairs));
-        let (free_ns, free_out) = timed_reps(cfg.reps, cfg.warmup, || engine.score_batch(&pairs));
-        let identical = tape_out.len() == free_out.len()
-            && tape_out.iter().zip(&free_out).all(|(a, b)| a.to_bits() == b.to_bits());
-        results.push(InferTiming { batch, tape_ns, free_ns, identical });
-    }
-    agnn_obs::metrics::set_enabled(metrics_was);
-    let metrics = agnn_obs::metrics::snapshot();
-    agnn_obs::metrics::reset();
-    InferBenchReport {
-        dataset: data.name.clone(),
-        users: data.num_users,
-        items: data.num_items,
-        threads: std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
-        reps: cfg.reps,
-        materialize_ns,
-        results,
-        metrics,
-    }
+    let ((materialize_ns, results), metrics) = collect_metrics(|| {
+        let t = Instant::now();
+        engine.materialize();
+        let materialize_ns = t.elapsed().as_nanos() as u64;
+        let results = cfg
+            .batch_sizes
+            .iter()
+            .map(|&batch| {
+                let pairs = pair_batch(batch, data.num_users, data.num_items);
+                let (tape_ns, tape_out) = time_reps(cfg.reps, cfg.warmup, || model.predict_batch(&pairs));
+                let (free_ns, free_out) = time_reps(cfg.reps, cfg.warmup, || engine.score_batch(&pairs));
+                let identical = tape_out.len() == free_out.len()
+                    && tape_out.iter().zip(&free_out).all(|(a, b)| a.to_bits() == b.to_bits());
+                InferTiming { batch, tape_ns, free_ns, identical }
+            })
+            .collect();
+        (materialize_ns, results)
+    });
+    Ok(InferBenchReport { fixture: FixtureInfo::of(&data), reps: cfg.reps, materialize_ns, results, metrics })
 }
 
 #[cfg(test)]
@@ -276,7 +216,7 @@ mod tests {
     #[test]
     fn smoke_bench_runs_and_paths_agree() {
         let _metrics = crate::metrics_test_lock();
-        let report = run_infer_bench(&InferBenchConfig::smoke());
+        let report = run_infer_bench(&InferBenchConfig::smoke()).expect("smoke bench runs");
         assert_eq!(report.results.len(), 2);
         assert!(report.all_identical(), "tape vs engine divergence: {report:?}");
         assert!(report.results.iter().all(|r| r.requests_per_sec() > 0.0));
@@ -288,10 +228,7 @@ mod tests {
     #[test]
     fn json_document_is_well_formed_enough() {
         let report = InferBenchReport {
-            dataset: "unit".into(),
-            users: 3,
-            items: 4,
-            threads: 2,
+            fixture: FixtureInfo { dataset: "unit".into(), users: 3, items: 4, threads: 2 },
             reps: 3,
             materialize_ns: 1000,
             results: vec![InferTiming { batch: 16, tape_ns: vec![100, 200, 300], free_ns: vec![50, 60, 70], identical: true }],

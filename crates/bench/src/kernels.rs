@@ -5,15 +5,12 @@
 //! `(batch·fanout) × embed`). Each row reports p50/p99 wall clock under the
 //! `p50_ns`/`p99_ns` keys that `bench --compare` guards; the result renders
 //! as both a table and the `BENCH_kernels.json` perf baseline.
-//!
-//! JSON is emitted by hand, field by field, so the file's schema is
-//! stable.
 
+use crate::harness::{artifact_json, time_reps, Sweep};
 use crate::percentile;
 use agnn_tensor::ops;
 use agnn_tensor::profile::Kernel;
 use agnn_tensor::{Csr, Matrix};
-use std::time::Instant;
 
 /// One AGNN-representative workload: a mini-batch of `batch` target nodes,
 /// `fanout` sampled neighbors each, `embed`-dimensional embeddings.
@@ -109,28 +106,23 @@ pub struct KernelBenchReport {
 }
 
 impl KernelBenchReport {
-    /// The `BENCH_kernels.json` document (stable hand-written schema).
+    /// The `BENCH_kernels.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"kernels\",\n");
-        out.push_str(&format!("  \"reps\": {},\n", self.reps));
-        out.push_str(&format!("  \"metrics\": {},\n", self.metrics.render_json()));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 == self.results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"kernel\": \"{}\", \"batch\": {}, \"fanout\": {}, \"embed\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-                r.kernel,
-                r.shape.batch,
-                r.shape.fanout,
-                r.shape.embed,
-                r.p50_ns(),
-                r.p99_ns(),
-                comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows: Vec<_> = self
+            .results
+            .iter()
+            .map(|r| {
+                vec![
+                    ("kernel", format!("\"{}\"", r.kernel)),
+                    ("batch", r.shape.batch.to_string()),
+                    ("fanout", r.shape.fanout.to_string()),
+                    ("embed", r.shape.embed.to_string()),
+                    ("p50_ns", r.p50_ns().to_string()),
+                    ("p99_ns", r.p99_ns().to_string()),
+                ]
+            })
+            .collect();
+        artifact_json(Sweep::Kernels, &[("reps", self.reps.to_string())], &self.metrics, &rows)
     }
 
     /// Human-readable table for stdout.
@@ -245,22 +237,6 @@ fn kernel_op(kernel: Kernel, shape: KernelShape) -> Box<dyn Fn() -> Matrix> {
     }
 }
 
-/// Times `warmup + reps` calls of `f`, keeping the sorted timed samples.
-fn time_calls(reps: usize, warmup: usize, f: &dyn Fn() -> Matrix) -> Vec<u64> {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut ns: Vec<u64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    ns.sort_unstable();
-    ns
-}
-
 /// Runs the full sweep: every kernel at every configured shape.
 pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelBenchReport {
     // Profile the sweep so the artifact carries an op-level drain alongside
@@ -271,8 +247,8 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelBenchReport {
     let mut results = Vec::new();
     for &shape in &cfg.shapes {
         for kernel in Kernel::ALL {
-            let f = kernel_op(kernel, shape);
-            results.push(KernelTiming { kernel: kernel.name(), shape, ns: time_calls(cfg.reps, cfg.warmup, f.as_ref()) });
+            let (ns, _) = time_reps(cfg.reps, cfg.warmup, kernel_op(kernel, shape));
+            results.push(KernelTiming { kernel: kernel.name(), shape, ns });
         }
     }
     agnn_tensor::profile::set_profiling(profile_was);

@@ -18,7 +18,15 @@
 //! All binaries accept `--scale <f>` (multiplies the per-dataset default
 //! scales), `--epochs <n>`, `--seed <n>`, and `--datasets a,b,c`; each
 //! prints a paper-shaped table to stdout and appends JSON rows to
-//! `results/<exp>.jsonl`.
+//! `results/<exp>.jsonl`. Figs. 5–7 are one call each of
+//! [`runner::run_knob_sweep`] (one AGNN knob under ICS and UCS), and
+//! Tables 3–4 one call each of [`runner::run_variant_table`].
+//!
+//! The `agnn bench` sweeps share the [`harness`] module: one fitted
+//! fixture ([`FixtureSpec`]) for `--infer`, `--topk` and `--serve`, one
+//! timing loop, one metrics collector, one `BENCH_*.json` writer, and
+//! [`Sweep`], which runs any of the four and hands the CLI its artifact,
+//! table and bit-identity verdict.
 //!
 //! The [`kernels`] module is the kernel benchmark behind
 //! `agnn bench --kernels`: per-(kernel, shape) p50/p99 latency (rows
@@ -41,6 +49,7 @@
 
 pub mod args;
 pub mod compare;
+pub mod harness;
 pub mod infer;
 pub mod kernels;
 pub mod runner;
@@ -50,6 +59,7 @@ pub mod topk;
 
 pub use args::HarnessArgs;
 pub use compare::{run_compare, CompareConfig, CompareReport, DriftRow};
+pub use harness::{Fixture, FixtureInfo, FixtureSpec, Sweep, SweepOutput};
 pub use infer::{run_infer_bench, InferBenchConfig, InferBenchReport, InferTiming};
 pub use serve::{run_serve_bench, ServeBenchConfig, ServeBenchReport, ServeTiming};
 pub use topk::{run_topk_bench, TopKBenchConfig, TopKBenchReport, TopKTiming};

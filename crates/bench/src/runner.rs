@@ -1,11 +1,21 @@
-//! Fit/evaluate driver for one experiment cell, with JSON logging.
+//! Fit/evaluate driver for one experiment cell, with JSON logging, and
+//! the two experiment bodies several binaries share: the Fig. 5–7 knob
+//! sweep and the Table 3–4 variant table.
 
+use crate::table::render_metric_table;
+use crate::HarnessArgs;
 use agnn_core::model::{evaluate, RatingModel, TrainReport};
+use agnn_core::variants::VariantName;
+use agnn_core::{Agnn, AgnnConfig};
 use agnn_data::{ColdStartKind, Dataset, Split, SplitConfig};
 use agnn_metrics::EvalAccumulator;
 use agnn_obs::Field;
 use agnn_train::HookList;
+use std::fmt::Display;
 use std::io::Write;
+
+/// The strict cold-start scenarios Figs. 5–7 and Tables 3–4 report.
+const STRICT: [ColdStartKind; 2] = [ColdStartKind::StrictItem, ColdStartKind::StrictUser];
 
 /// Identity of one (model, dataset, scenario) cell.
 #[derive(Clone, Debug)]
@@ -84,6 +94,91 @@ pub fn log_json(out_dir: &str, exp: &str, row: &[(&str, Field)]) {
     let mut line = String::new();
     agnn_obs::trace::push_object(&mut line, row.iter().map(|(k, v)| (*k, v)));
     writeln!(file, "{line}").expect("write results row");
+}
+
+/// Fig. `figure`: RMSE of AGNN under ICS and UCS for each of `values` of
+/// one knob, which `set` writes into the harness-default config. Prints
+/// one table per dataset (the knob column headed `key`, the title naming
+/// it `symbol`) and appends a `{dataset, scenario, key, rmse, mae}` row
+/// per cell to `fig<figure>.jsonl`.
+pub fn run_knob_sweep<T: Copy + Display + Into<Field>>(
+    args: &HarnessArgs,
+    figure: u8,
+    key: &str,
+    symbol: &str,
+    values: &[T],
+    set: impl Fn(&mut AgnnConfig, T),
+) {
+    let exp = format!("fig{figure}");
+    // The knob column is two wider than its label, and at least 6.
+    let w = (key.len() + 2).max(6);
+    for &preset in &args.datasets {
+        let data = args.generate(preset);
+        println!("== Fig. {figure} — {} (RMSE vs {symbol}) ==", preset.name());
+        println!("{key:>w$} {:>10} {:>10}", "ICS", "UCS");
+        for &value in values {
+            let mut row = Vec::new();
+            for scenario in STRICT {
+                let split = paper_split(&data, scenario, args.seed);
+                let mut cfg =
+                    AgnnConfig { epochs: args.epochs, seed: args.seed, lr: args.lr_for(preset), ..AgnnConfig::default() };
+                set(&mut cfg, value);
+                let cell = run_cell(&mut Agnn::new(cfg), &data, &split, scenario);
+                log_json(&args.out_dir, &exp, &[
+                    ("dataset", preset.name().into()),
+                    ("scenario", scenario.abbrev().into()),
+                    (key, value.into()),
+                    ("rmse", cell.rmse.into()),
+                    ("mae", cell.mae.into()),
+                ]);
+                row.push(cell.rmse);
+            }
+            println!("{value:>w$} {:>10.4} {:>10.4}", row[0], row[1]);
+        }
+    }
+}
+
+/// Table `table`: RMSE and MAE of each of `variants` under ICS and UCS,
+/// printed as one `Table <table> (<study>)` per dataset, with a progress
+/// line per cell on stderr and a `{variant, dataset, scenario, rmse, mae}`
+/// row per cell appended to `table<table>.jsonl`.
+pub fn run_variant_table(args: &HarnessArgs, table: u8, study: &str, variants: &[VariantName]) {
+    let exp = format!("table{table}");
+    for &preset in &args.datasets {
+        let data = args.generate(preset);
+        let mut columns = Vec::new();
+        let mut rows: Vec<(String, Vec<Option<f64>>)> =
+            variants.iter().map(|v| (v.label().to_string(), Vec::new())).collect();
+        for scenario in STRICT {
+            let split = paper_split(&data, scenario, args.seed);
+            for (vi, variant) in variants.iter().enumerate() {
+                let cfg = AgnnConfig { epochs: args.epochs, seed: args.seed, lr: args.lr_for(preset), ..AgnnConfig::default() };
+                let mut model = variant.build(cfg);
+                let cell = run_cell(&mut model, &data, &split, scenario);
+                eprintln!(
+                    "[{exp}] {} {} {}: rmse {:.4} mae {:.4}",
+                    preset.name(),
+                    scenario.abbrev(),
+                    variant.label(),
+                    cell.rmse,
+                    cell.mae
+                );
+                log_json(&args.out_dir, &exp, &[
+                    ("variant", variant.label().into()),
+                    ("dataset", preset.name().into()),
+                    ("scenario", scenario.abbrev().into()),
+                    ("rmse", cell.rmse.into()),
+                    ("mae", cell.mae.into()),
+                ]);
+                rows[vi].1.push(Some(cell.rmse));
+                rows[vi].1.push(Some(cell.mae));
+            }
+            columns.push(format!("{} RMSE", scenario.abbrev()));
+            columns.push(format!("{} MAE", scenario.abbrev()));
+        }
+        let title = format!("Table {table} ({study}) — {}", preset.name());
+        println!("\n{}", render_metric_table(&title, &columns, &rows));
+    }
 }
 
 impl CellResult {

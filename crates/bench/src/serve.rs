@@ -10,9 +10,8 @@
 //! response matched exactly, which makes `BENCH_serve.json` a conformance
 //! artifact as much as a perf baseline.
 
+use crate::harness::{artifact_json, collect_metrics, inline_object, Fixture, FixtureInfo, FixtureSpec, Sweep};
 use crate::percentile;
-use agnn_core::{Agnn, AgnnConfig, RatingModel};
-use agnn_data::{ColdStartKind, Preset, Split, SplitConfig};
 use agnn_infer::InferenceEngine;
 use agnn_serve::protocol;
 use agnn_serve::{ServeConfig, Server};
@@ -26,13 +25,9 @@ use std::time::{Duration, Instant};
 /// Knobs for the serving bench.
 #[derive(Clone, Debug)]
 pub struct ServeBenchConfig {
-    /// Dataset scale passed to the ML-100K preset generator.
-    pub scale: f64,
-    /// Training epochs for the fitted model (latency, not quality, is
-    /// under test — keep this small).
-    pub epochs: usize,
-    /// Seed for data generation, training, and request sampling.
-    pub seed: u64,
+    /// The fitted model the server scores with; its seed also seeds the
+    /// request sampling.
+    pub fixture: FixtureSpec,
     /// Offered request rates; one result row per entry.
     pub qps: Vec<u64>,
     /// Concurrent client connections per row.
@@ -53,9 +48,7 @@ impl ServeBenchConfig {
     /// The committed-baseline configuration (`BENCH_serve.json`).
     pub fn representative() -> Self {
         Self {
-            scale: 0.1,
-            epochs: 2,
-            seed: 7,
+            fixture: FixtureSpec::REPRESENTATIVE,
             qps: vec![500, 2000, 8000],
             connections: 8,
             requests: 400,
@@ -69,9 +62,7 @@ impl ServeBenchConfig {
     /// A seconds-scale configuration for CI and tests.
     pub fn smoke() -> Self {
         Self {
-            scale: 0.05,
-            epochs: 1,
-            seed: 7,
+            fixture: FixtureSpec::SMOKE,
             qps: vec![400],
             connections: 4,
             requests: 60,
@@ -122,14 +113,8 @@ impl ServeTiming {
 /// Everything `BENCH_serve.json` records.
 #[derive(Clone, Debug)]
 pub struct ServeBenchReport {
-    /// Dataset name.
-    pub dataset: String,
-    /// Catalog dimensions.
-    pub users: usize,
-    /// Catalog dimensions.
-    pub items: usize,
-    /// Hardware threads on the machine that produced the artifact.
-    pub threads: usize,
+    /// Dataset the model was fitted on, and the host.
+    pub fixture: FixtureInfo,
     /// Scoring worker threads the server ran with.
     pub workers: usize,
     /// Concurrent client connections per row.
@@ -174,64 +159,59 @@ impl ServeBenchReport {
         .collect()
     }
 
-    /// The `BENCH_serve.json` document (stable hand-written schema).
+    /// The `BENCH_serve.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"serve\",\n");
-        out.push_str(&format!("  \"dataset\": \"{}\",\n", self.dataset));
-        out.push_str(&format!("  \"users\": {},\n", self.users));
-        out.push_str(&format!("  \"items\": {},\n", self.items));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"connections\": {},\n", self.connections));
-        out.push_str(&format!("  \"requests_per_row\": {},\n", self.requests));
-        out.push_str(&format!("  \"pairs_per_request\": {},\n", self.pairs_per_request));
-        out.push_str(&format!("  \"batch_window_us\": {},\n", self.batch_window_us));
-        out.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
-        out.push_str(&format!("  \"all_identical\": {},\n", self.all_identical()));
-        out.push_str("  \"stages\": {\n");
-        let stages = self.stage_rows();
-        for (i, (label, h)) in stages.iter().enumerate() {
-            let comma = if i + 1 == stages.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{label}\": {{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{comma}\n",
-                h.count(),
-                h.p50_ns(),
-                h.p90_ns(),
-                h.p99_ns(),
-                h.max_ns(),
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!("  \"metrics\": {},\n", self.metrics.render_json()));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 == self.results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"qps\": {}, \"achieved_qps\": {:.1}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \"batch_mean\": {:.2}, \"batches\": {}, \"identical\": {}}}{}\n",
-                r.qps,
-                r.achieved_qps,
-                r.p50(),
-                r.p99(),
-                r.p999(),
-                r.max(),
-                r.batch_mean,
-                r.batches,
-                r.identical,
-                comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let stages: Vec<String> = self
+            .stage_rows()
+            .iter()
+            .map(|(label, h)| {
+                let quantiles = inline_object(&[
+                    ("count", h.count().to_string()),
+                    ("p50_ns", h.p50_ns().to_string()),
+                    ("p90_ns", h.p90_ns().to_string()),
+                    ("p99_ns", h.p99_ns().to_string()),
+                    ("max_ns", h.max_ns().to_string()),
+                ]);
+                format!("    \"{label}\": {quantiles}")
+            })
+            .collect();
+        let stages = if stages.is_empty() { "{\n  }".to_string() } else { format!("{{\n{}\n  }}", stages.join(",\n")) };
+        let mut header = self.fixture.header();
+        header.extend([
+            ("workers", self.workers.to_string()),
+            ("connections", self.connections.to_string()),
+            ("requests_per_row", self.requests.to_string()),
+            ("pairs_per_request", self.pairs_per_request.to_string()),
+            ("batch_window_us", self.batch_window_us.to_string()),
+            ("max_batch", self.max_batch.to_string()),
+            ("all_identical", self.all_identical().to_string()),
+            ("stages", stages),
+        ]);
+        let rows: Vec<_> = self
+            .results
+            .iter()
+            .map(|r| {
+                vec![
+                    ("qps", r.qps.to_string()),
+                    ("achieved_qps", format!("{:.1}", r.achieved_qps)),
+                    ("p50_ns", r.p50().to_string()),
+                    ("p99_ns", r.p99().to_string()),
+                    ("p999_ns", r.p999().to_string()),
+                    ("max_ns", r.max().to_string()),
+                    ("batch_mean", format!("{:.2}", r.batch_mean)),
+                    ("batches", r.batches.to_string()),
+                    ("identical", r.identical.to_string()),
+                ]
+            })
+            .collect();
+        artifact_json(Sweep::Serve, &header, &self.metrics, &rows)
     }
 
     /// Human-readable table for stdout.
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "serve bench · {} ({} users × {} items) · {} worker(s) · {} connection(s) · {} req/row × {} pair(s) · window {}us · max-batch {}\n{:>8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}  {}\n",
-            self.dataset,
-            self.users,
-            self.items,
+            "serve bench · {} · {} worker(s) · {} connection(s) · {} req/row × {} pair(s) · window {}us · max-batch {}\n{:>8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}  {}\n",
+            self.fixture.title(),
             self.workers,
             self.connections,
             self.requests,
@@ -366,53 +346,27 @@ fn run_connection(
 /// Fits the model, then runs one open-loop row per offered rate against a
 /// fresh in-process server.
 pub fn run_serve_bench(cfg: &ServeBenchConfig) -> Result<ServeBenchReport, String> {
-    let data = Preset::Ml100k.generate(cfg.scale, cfg.seed);
-    let split = Split::create(&data, SplitConfig::paper_default(ColdStartKind::StrictItem, cfg.seed));
-    let model_cfg = AgnnConfig {
-        embed_dim: 16,
-        vae_latent_dim: 8,
-        fanout: 5,
-        epochs: cfg.epochs,
-        batch_size: 64,
-        seed: cfg.seed,
-        ..AgnnConfig::default()
-    };
-    let mut model = Agnn::new(model_cfg);
-    model.fit(&data, &split);
-    let snap = model.export_snapshot().map_err(|e| format!("bench: snapshot export: {e}"))?;
-    let mut engine = InferenceEngine::from_snapshot(&snap).map_err(|e| format!("bench: snapshot: {e}"))?;
+    let Fixture { data, mut engine, .. } = cfg.fixture.build()?;
     engine.materialize();
     let engine = Arc::new(engine);
-
     // Instrument the rows themselves (not the fit): the artifact records
     // the server's batch/connection counters next to the latencies.
-    let metrics_was = agnn_obs::metrics::enabled();
-    agnn_obs::metrics::reset();
-    agnn_obs::metrics::set_enabled(true);
-    let result = run_rows(cfg, &engine);
-    agnn_obs::metrics::set_enabled(metrics_was);
-    let metrics = agnn_obs::metrics::snapshot();
-    agnn_obs::metrics::reset();
-    let results = result?;
-
+    let (results, metrics) = collect_metrics(|| run_rows(cfg, &engine));
     Ok(ServeBenchReport {
-        dataset: data.name.clone(),
-        users: data.num_users,
-        items: data.num_items,
-        threads: std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
+        fixture: FixtureInfo::of(&data),
         workers: cfg.workers,
         connections: cfg.connections,
         requests: cfg.requests,
         pairs_per_request: cfg.pairs_per_request,
         batch_window_us: cfg.batch_window_us,
         max_batch: cfg.max_batch,
-        results,
+        results: results?,
         metrics,
     })
 }
 
 fn run_rows(cfg: &ServeBenchConfig, engine: &Arc<InferenceEngine>) -> Result<Vec<ServeTiming>, String> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xbe7c);
+    let mut rng = StdRng::seed_from_u64(cfg.fixture.seed ^ 0xbe7c);
     let mut results = Vec::with_capacity(cfg.qps.len());
     for &qps in &cfg.qps {
         let planned = plan_requests(engine, cfg, qps, &mut rng);
@@ -508,10 +462,7 @@ mod tests {
     #[test]
     fn json_document_is_well_formed_enough() {
         let report = ServeBenchReport {
-            dataset: "unit".into(),
-            users: 5,
-            items: 9,
-            threads: 2,
+            fixture: FixtureInfo { dataset: "unit".into(), users: 5, items: 9, threads: 2 },
             workers: 2,
             connections: 3,
             requests: 12,

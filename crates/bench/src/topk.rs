@@ -7,26 +7,16 @@
 //! keys that `bench --compare` guards, and whether the result matched the
 //! argsort of `score_batch` over all items bit for bit (it must; CI gates
 //! on it).
-//!
-//! JSON is emitted by hand, field by field, so the `BENCH_topk.json`
-//! schema is stable.
 
+use crate::harness::{artifact_json, collect_metrics, time_reps, Fixture, FixtureInfo, FixtureSpec, Sweep};
 use crate::percentile;
-use agnn_core::{Agnn, AgnnConfig, RatingModel};
-use agnn_data::{ColdStartKind, Preset, Split, SplitConfig};
-use agnn_infer::InferenceEngine;
 use agnn_tensor::select;
-use std::time::Instant;
 
-/// Benchmark configuration: model/fit shape and the k sweep.
+/// Benchmark configuration: the fixture and the k sweep.
 #[derive(Debug, Clone)]
 pub struct TopKBenchConfig {
-    /// Dataset scale passed to [`Preset::Ml100k`] generation.
-    pub scale: f64,
-    /// Training epochs (the model just needs trained-shaped weights).
-    pub epochs: usize,
-    /// Seed for generation, split and fit.
-    pub seed: u64,
+    /// The fitted model the sweep retrieves with.
+    pub fixture: FixtureSpec,
     /// Retrieval depths to sweep.
     pub ks: Vec<usize>,
     /// How many distinct users the sweep averages over (deterministic
@@ -42,29 +32,13 @@ impl TopKBenchConfig {
     /// Full sweep: the k ∈ {10, 50, 100} curve committed as
     /// `BENCH_topk.json`.
     pub fn representative() -> Self {
-        Self {
-            scale: 0.1,
-            epochs: 2,
-            seed: 7,
-            ks: vec![10, 50, 100],
-            eval_users: 8,
-            reps: 15,
-            warmup: 2,
-        }
+        Self { fixture: FixtureSpec::REPRESENTATIVE, ks: vec![10, 50, 100], eval_users: 8, reps: 15, warmup: 2 }
     }
 
     /// Tiny sweep for CI: exercises the argsort-identity gate in a few
     /// seconds.
     pub fn smoke() -> Self {
-        Self {
-            scale: 0.05,
-            epochs: 1,
-            seed: 7,
-            ks: vec![5, 10],
-            eval_users: 3,
-            reps: 3,
-            warmup: 1,
-        }
+        Self { fixture: FixtureSpec::SMOKE, ks: vec![5, 10], eval_users: 3, reps: 3, warmup: 1 }
     }
 }
 
@@ -96,14 +70,8 @@ impl TopKTiming {
 /// Everything `agnn bench --topk` measured.
 #[derive(Debug, Clone)]
 pub struct TopKBenchReport {
-    /// Dataset the model was fitted on.
-    pub dataset: String,
-    /// User count.
-    pub users: usize,
-    /// Item count.
-    pub items: usize,
-    /// Hardware threads on the host that ran the sweep.
-    pub threads: usize,
+    /// Dataset the model was fitted on, and the host.
+    pub fixture: FixtureInfo,
     /// Timed repetitions per (k, user).
     pub reps: usize,
     /// Users the sweep averaged over.
@@ -122,43 +90,36 @@ impl TopKBenchReport {
         self.results.iter().all(|r| r.identical)
     }
 
-    /// The `BENCH_topk.json` document (stable hand-written schema).
+    /// The `BENCH_topk.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"topk\",\n");
-        out.push_str(&format!("  \"dataset\": \"{}\",\n", self.dataset));
-        out.push_str(&format!("  \"users\": {},\n", self.users));
-        out.push_str(&format!("  \"items\": {},\n", self.items));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"reps\": {},\n", self.reps));
         let ids: Vec<String> = self.eval_users.iter().map(u32::to_string).collect();
-        out.push_str(&format!("  \"eval_users\": [{}],\n", ids.join(", ")));
-        out.push_str(&format!("  \"all_identical\": {},\n", self.all_identical()));
-        out.push_str(&format!("  \"metrics\": {},\n", self.metrics.render_json()));
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 == self.results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"k\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"identical\": {}}}{}\n",
-                r.k,
-                r.p50(),
-                r.p99(),
-                r.identical,
-                comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let mut header = self.fixture.header();
+        header.extend([
+            ("reps", self.reps.to_string()),
+            ("eval_users", format!("[{}]", ids.join(", "))),
+            ("all_identical", self.all_identical().to_string()),
+        ]);
+        let rows: Vec<_> = self
+            .results
+            .iter()
+            .map(|r| {
+                vec![
+                    ("k", r.k.to_string()),
+                    ("p50_ns", r.p50().to_string()),
+                    ("p99_ns", r.p99().to_string()),
+                    ("identical", r.identical.to_string()),
+                ]
+            })
+            .collect();
+        artifact_json(Sweep::TopK, &header, &self.metrics, &rows)
     }
 
     /// Human-readable table for stdout.
     pub fn render_table(&self) -> String {
         let mut out = format!(
-            "topk bench · {} ({} users × {} items) · {} thread(s) · {} rep(s) · {} eval user(s)\n{:>6} {:>12} {:>12}  {}\n",
-            self.dataset,
-            self.users,
-            self.items,
-            self.threads,
+            "topk bench · {} · {} thread(s) · {} rep(s) · {} eval user(s)\n{:>6} {:>12} {:>12}  {}\n",
+            self.fixture.title(),
+            self.fixture.threads,
             self.reps,
             self.eval_users.len(),
             "k",
@@ -185,77 +146,37 @@ fn eval_user_ids(n: usize, num_users: usize) -> Vec<u32> {
     (0..n.min(num_users)).map(|j| ((j * 13 + 1) % num_users) as u32).collect()
 }
 
-fn timed_calls(reps: usize, warmup: usize, f: impl Fn() -> Vec<(u32, f32)>) -> (Vec<u64>, Vec<(u32, f32)>) {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut times = Vec::with_capacity(reps);
-    let mut out = Vec::new();
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        out = std::hint::black_box(f());
-        times.push(t.elapsed().as_nanos() as u64);
-    }
-    (times, out)
-}
-
 /// Fits the model, materializes the engine, and runs the k sweep.
-pub fn run_topk_bench(cfg: &TopKBenchConfig) -> TopKBenchReport {
-    let data = Preset::Ml100k.generate(cfg.scale, cfg.seed);
-    let split = Split::create(&data, SplitConfig::paper_default(ColdStartKind::StrictItem, cfg.seed));
-    let model_cfg = AgnnConfig {
-        embed_dim: 16,
-        vae_latent_dim: 8,
-        fanout: 5,
-        epochs: cfg.epochs,
-        batch_size: 64,
-        seed: cfg.seed,
-        ..AgnnConfig::default()
-    };
-    let mut model = Agnn::new(model_cfg);
-    model.fit(&data, &split);
-    let snap = model.export_snapshot().expect("fitted model snapshots");
-    let mut engine = InferenceEngine::from_snapshot(&snap).expect("snapshot resolves");
+pub fn run_topk_bench(cfg: &TopKBenchConfig) -> Result<TopKBenchReport, String> {
+    let Fixture { data, mut engine, .. } = cfg.fixture.build()?;
     engine.materialize();
+    let users = eval_user_ids(cfg.eval_users, data.num_users);
     // Instrument the sweep itself (not the fit): the artifact records the
     // retrieval counters — requests, items scored — next to the latencies.
-    let metrics_was = agnn_obs::metrics::enabled();
-    agnn_obs::metrics::reset();
-    agnn_obs::metrics::set_enabled(true);
-
-    let users = eval_user_ids(cfg.eval_users, data.num_users);
-    let mut results = Vec::with_capacity(cfg.ks.len());
-    for &k in &cfg.ks {
-        let mut ns = Vec::new();
-        let mut identical = true;
-        for &u in &users {
-            let (times, got) = timed_calls(cfg.reps, cfg.warmup, || engine.top_k(u, k));
-            ns.extend(times);
-            // top_k must be the argsort of score_batch over the full
-            // catalog: same ids, same score bits, same tie order.
-            let pairs: Vec<(u32, u32)> = (0..data.num_items as u32).map(|i| (u, i)).collect();
-            let full = engine.score_batch(&pairs);
-            let reference: Vec<(u32, f32)> =
-                select::rank_descending(&full).into_iter().take(k).map(|i| (i as u32, full[i])).collect();
-            identical &= got.len() == reference.len()
-                && got.iter().zip(&reference).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-        }
-        ns.sort_unstable();
-        results.push(TopKTiming { k, ns, identical });
-    }
-    agnn_obs::metrics::set_enabled(metrics_was);
-    let metrics = agnn_obs::metrics::snapshot();
-    agnn_obs::metrics::reset();
-    TopKBenchReport {
-        dataset: data.name.clone(),
-        users: data.num_users,
-        items: data.num_items,
-        threads: std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
-        reps: cfg.reps,
-        eval_users: users,
-        results,
-        metrics,
-    }
+    let (results, metrics) = collect_metrics(|| {
+        cfg.ks
+            .iter()
+            .map(|&k| {
+                let mut ns = Vec::new();
+                let mut identical = true;
+                for &u in &users {
+                    let (times, got) = time_reps(cfg.reps, cfg.warmup, || engine.top_k(u, k));
+                    ns.extend(times);
+                    // top_k must be the argsort of score_batch over the full
+                    // catalog: same ids, same score bits, same tie order.
+                    let pairs: Vec<(u32, u32)> = (0..data.num_items as u32).map(|i| (u, i)).collect();
+                    let full = engine.score_batch(&pairs);
+                    let reference: Vec<(u32, f32)> =
+                        select::rank_descending(&full).into_iter().take(k).map(|i| (i as u32, full[i])).collect();
+                    identical &= got.len() == reference.len()
+                        && got.iter().zip(&reference).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
+                }
+                ns.sort_unstable();
+                TopKTiming { k, ns, identical }
+            })
+            .collect()
+    });
+    Ok(TopKBenchReport { fixture: FixtureInfo::of(&data), reps: cfg.reps, eval_users: users, results, metrics })
 }
 
 #[cfg(test)]
@@ -265,7 +186,7 @@ mod tests {
     #[test]
     fn smoke_bench_runs_and_exhaustive_matches_argsort() {
         let _metrics = crate::metrics_test_lock();
-        let report = run_topk_bench(&TopKBenchConfig::smoke());
+        let report = run_topk_bench(&TopKBenchConfig::smoke()).expect("smoke bench runs");
         assert_eq!(report.results.len(), 2);
         assert!(report.all_identical(), "top_k diverged from score_batch argsort: {report:?}");
         assert!(report.results.iter().all(|r| r.p50() > 0 && r.p99() >= r.p50()), "{report:?}");
@@ -275,10 +196,7 @@ mod tests {
     #[test]
     fn json_document_is_well_formed_enough() {
         let report = TopKBenchReport {
-            dataset: "unit".into(),
-            users: 5,
-            items: 9,
-            threads: 2,
+            fixture: FixtureInfo { dataset: "unit".into(), users: 5, items: 9, threads: 2 },
             reps: 3,
             eval_users: vec![1, 4],
             results: vec![TopKTiming { k: 3, ns: vec![100, 200, 300], identical: true }],

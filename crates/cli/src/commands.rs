@@ -490,68 +490,20 @@ fn bench(opts: &Opts) -> Result<String, CliError> {
     if opts.get("threshold").is_some() {
         return Err(CliError::Message("bench: --threshold only applies to --compare".into()));
     }
-    let smoke = opts.get("smoke") == Some("true");
-    let surfaces = (
-        opts.get("kernels") == Some("true"),
-        opts.get("infer") == Some("true"),
-        opts.get("topk") == Some("true"),
-        opts.get("serve") == Some("true"),
-    );
-    match surfaces {
-        (true, false, false, false) => {
-            let cfg =
-                if smoke { agnn_bench::KernelBenchConfig::smoke() } else { agnn_bench::KernelBenchConfig::representative() };
-            let report = agnn_bench::run_kernel_bench(&cfg);
-            let out = opts.get("out").unwrap_or("BENCH_kernels.json");
-            std::fs::write(out, report.to_json())?;
-            Ok(format!("{}wrote {out}", report.render_table()))
-        }
-        (false, true, false, false) => {
-            let cfg =
-                if smoke { agnn_bench::InferBenchConfig::smoke() } else { agnn_bench::InferBenchConfig::representative() };
-            let report = agnn_bench::run_infer_bench(&cfg);
-            let out = opts.get("out").unwrap_or("BENCH_infer.json");
-            std::fs::write(out, report.to_json())?;
-            let text = format!("{}wrote {out}", report.render_table());
-            if report.all_identical() {
-                Ok(text)
-            } else {
-                Err(CliError::Message(format!("{text}\ntape/engine DIVERGENCE — the tape-free path is wrong, do not ship")))
-            }
-        }
-        (false, false, true, false) => {
-            let cfg =
-                if smoke { agnn_bench::TopKBenchConfig::smoke() } else { agnn_bench::TopKBenchConfig::representative() };
-            let report = agnn_bench::run_topk_bench(&cfg);
-            let out = opts.get("out").unwrap_or("BENCH_topk.json");
-            std::fs::write(out, report.to_json())?;
-            let text = format!("{}wrote {out}", report.render_table());
-            if report.all_identical() {
-                Ok(text)
-            } else {
-                Err(CliError::Message(format!(
-                    "{text}\nexhaustive top-K DIVERGENCE from the score_batch argsort — the select path is wrong, do not ship"
-                )))
-            }
-        }
-        (false, false, false, true) => {
-            let cfg =
-                if smoke { agnn_bench::ServeBenchConfig::smoke() } else { agnn_bench::ServeBenchConfig::representative() };
-            let report = agnn_bench::run_serve_bench(&cfg).map_err(CliError::Message)?;
-            let out = opts.get("out").unwrap_or("BENCH_serve.json");
-            std::fs::write(out, report.to_json())?;
-            let text = format!("{}wrote {out}", report.render_table());
-            if report.all_identical() {
-                Ok(text)
-            } else {
-                Err(CliError::Message(format!(
-                    "{text}\ncoalesced serving DIVERGENCE — a TCP response differed from its one-shot answer, do not ship"
-                )))
-            }
-        }
-        _ => Err(CliError::Message(
+    let chosen: Vec<agnn_bench::Sweep> =
+        agnn_bench::Sweep::ALL.into_iter().filter(|s| opts.get(s.name()) == Some("true")).collect();
+    let [sweep] = chosen[..] else {
+        return Err(CliError::Message(
             "bench: pass exactly one of --kernels | --infer | --topk | --serve | --compare".into(),
-        )),
+        ));
+    };
+    let output = sweep.run(opts.get("smoke") == Some("true")).map_err(CliError::Message)?;
+    let out = opts.get("out").map_or_else(|| sweep.default_out(), String::from);
+    std::fs::write(&out, &output.json)?;
+    let text = format!("{}wrote {out}", output.table);
+    match output.divergence {
+        None => Ok(text),
+        Some(why) => Err(CliError::Message(format!("{text}\n{why}"))),
     }
 }
 

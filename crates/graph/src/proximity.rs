@@ -120,21 +120,6 @@ pub fn score_all_candidates(
         .collect()
 }
 
-/// Cosine-similarity of two nodes' combined (attribute ⊕ preference) view —
-/// exposed for tests and for the kNN constructions.
-pub fn combined_similarity(
-    a_attr: &SparseVec,
-    b_attr: &SparseVec,
-    a_pref: Option<&SparseVec>,
-    b_pref: Option<&SparseVec>,
-) -> f32 {
-    let attr = a_attr.cosine_similarity(b_attr);
-    match (a_pref, b_pref) {
-        (Some(ap), Some(bp)) => attr + ap.cosine_similarity(bp),
-        _ => attr,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

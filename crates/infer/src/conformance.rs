@@ -78,13 +78,3 @@ pub fn check_tracer_variant(variant: VariantName) -> Result<(), String> {
     }
     Ok(())
 }
-
-/// Runs [`check_tracer_variant`] over every Table 3 + Table 4 variant.
-pub fn check_all_tracer_variants() -> Result<(), String> {
-    let mut names: Vec<VariantName> = VariantName::TABLE3.into_iter().chain(VariantName::TABLE4).collect();
-    names.dedup();
-    for name in names {
-        check_tracer_variant(name)?;
-    }
-    Ok(())
-}

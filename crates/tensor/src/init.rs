@@ -59,11 +59,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     uniform(rows, cols, bound, rng)
 }
 
-/// He/Kaiming normal: `N(0, sqrt(2/fan_in))`, for (leaky-)ReLU stacks.
-pub fn he_normal(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
-    normal(rows, cols, (2.0 / rows.max(1) as f32).sqrt(), rng)
-}
-
 /// A standard-normal sample matrix (for VAE reparameterization noise).
 pub fn standard_normal(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     normal(rows, cols, 1.0, rng)

@@ -13,8 +13,8 @@
 //!   lives above the kernels, in the serve workers;
 //! * [`csr::Csr`] + [`ops::spmm`] multiply multi-hot attribute rows against
 //!   dense tables without densifying them;
-//! * per-kernel wall-clock profiling lives in [`profile`], compiled in by
-//!   the `op-profile` feature and toggled at runtime;
+//! * per-kernel wall-clock profiling lives in [`profile`], toggled at
+//!   runtime;
 //! * all randomness flows through caller-provided [`rand::Rng`]s so every
 //!   experiment in the harness is reproducible from a seed;
 //! * shape errors panic with the offending shapes in the message — in a

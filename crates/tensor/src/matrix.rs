@@ -124,11 +124,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {

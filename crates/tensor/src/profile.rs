@@ -2,15 +2,8 @@
 //!
 //! Every dense kernel routes through [`timed`], which buckets call counts
 //! and elapsed nanoseconds per [`Kernel`] into a process-global registry of
-//! atomics. Two switches keep this off the hot path:
-//!
-//! * the `op-profile` **cargo feature** compiles the instrumentation in at
-//!   all — without it `timed` is an identity wrapper and the kernels carry
-//!   zero overhead (the registry API below still exists so downstream
-//!   crates compile unconditionally);
-//! * a **runtime flag** ([`set_profiling`]) gates clock reads when the
-//!   feature is on, so a profiling-capable binary still costs only one
-//!   relaxed atomic load per kernel call while disabled.
+//! atomics. A **runtime flag** ([`set_profiling`]) gates the clock reads,
+//! so while it is off a kernel call costs one relaxed atomic load more.
 //!
 //! `agnn-train` drains the registry once per epoch ([`take`]) and forwards
 //! the snapshot to `TrainHook::on_op_profile`; `agnn bench --kernels` uses
@@ -84,16 +77,15 @@ static CALLS: [AtomicU64; N_KERNELS] = [ZERO; N_KERNELS];
 static NANOS: [AtomicU64; N_KERNELS] = [ZERO; N_KERNELS];
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Turns runtime collection on or off. Has no observable effect unless the
-/// crate was built with the `op-profile` feature.
+/// Turns runtime collection on or off.
 pub fn set_profiling(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether kernel timings are being collected right now (requires both the
-/// `op-profile` feature and [`set_profiling`]`(true)`).
+/// Whether kernel timings are being collected right now
+/// ([`set_profiling`]`(true)`).
 pub fn profiling_enabled() -> bool {
-    cfg!(feature = "op-profile") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Adds one call of `k` taking `nanos` to the registry.
@@ -168,19 +160,15 @@ pub struct OpTiming {
 }
 
 /// Wraps a kernel body, recording its wall-clock into the registry when
-/// profiling is live. With the `op-profile` feature off this inlines to a
-/// plain call.
+/// profiling is live.
 #[inline]
 pub(crate) fn timed<T>(k: Kernel, f: impl FnOnce() -> T) -> T {
-    #[cfg(feature = "op-profile")]
     if profiling_enabled() {
         let t = std::time::Instant::now();
         let out = f();
         record(k, t.elapsed().as_nanos() as u64);
         return out;
     }
-    #[cfg(not(feature = "op-profile"))]
-    let _ = k;
     f()
 }
 

@@ -45,11 +45,6 @@ pub fn variance(xs: &[f32]) -> f32 {
     xs.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / (xs.len() - 1) as f32
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f32]) -> f32 {
-    variance(xs).sqrt()
-}
-
 /// Pearson correlation of two equal-length slices (0.0 if degenerate).
 pub fn pearson(xs: &[f32], ys: &[f32]) -> f32 {
     assert_eq!(xs.len(), ys.len(), "pearson: length mismatch {} vs {}", xs.len(), ys.len());

@@ -6,7 +6,6 @@
 //! is always delivered to *every* hook, even if an earlier one asked to
 //! stop; any [`Signal::Stop`] then ends training after that epoch.
 
-use crate::report::TrainReport;
 use agnn_autograd::ParamStore;
 use agnn_check::{AuditAccumulator, AuditReport, TapeAudit};
 use agnn_data::Rating;
@@ -73,8 +72,8 @@ pub trait TrainHook {
         Signal::Continue
     }
     /// Fires after `on_epoch_end` with the epoch's per-kernel wall-clock
-    /// drain when op profiling is live (the `op-profile` feature plus
-    /// `agnn_tensor::profile::set_profiling(true)`); never fires otherwise.
+    /// drain when op profiling is live
+    /// (`agnn_tensor::profile::set_profiling(true)`); never fires otherwise.
     fn on_op_profile(&mut self, _epoch: usize, _profile: &OpProfile) {}
 }
 
@@ -229,29 +228,21 @@ impl TrainHook for PreflightAudit {
 /// (suppressed at `--log-level quiet`).
 pub struct LossLogger {
     every: usize,
-    prefix: String,
 }
 
 impl LossLogger {
     /// Logs every `every`-th epoch (clamped to at least 1).
     pub fn every(every: usize) -> Self {
-        Self { every: every.max(1), prefix: String::new() }
-    }
-
-    /// Prepends a label (typically the model name) to each line.
-    pub fn with_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.prefix = prefix.into();
-        self
+        Self { every: every.max(1) }
     }
 }
 
 impl TrainHook for LossLogger {
     fn on_epoch_end(&mut self, stats: &EpochStats, _store: &ParamStore) -> Signal {
         if stats.epoch % self.every == 0 {
-            let sep = if self.prefix.is_empty() { "" } else { " " };
             agnn_obs::log::info(format!(
-                "{}{}epoch {:>4}  pred {:.6}  recon {:.6}",
-                self.prefix, sep, stats.epoch, stats.prediction, stats.reconstruction
+                "epoch {:>4}  pred {:.6}  recon {:.6}",
+                stats.epoch, stats.prediction, stats.reconstruction
             ));
         }
         Signal::Continue
@@ -270,11 +261,6 @@ impl Timing {
     /// An empty timer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total seconds across recorded epochs.
-    pub fn total_seconds(&self) -> f64 {
-        self.epoch_seconds.iter().sum()
     }
 }
 
@@ -430,12 +416,6 @@ impl TrainHook for OpProfiler {
         self.totals.merge(profile);
         self.epochs += 1;
     }
-}
-
-/// Convenience: true when `report.stopped_early` should be considered a
-/// success given an early-stopping hook's state.
-pub fn stopped_by(report: &TrainReport, hook: &EarlyStopping) -> bool {
-    report.stopped_early && hook.stopped_at.is_some()
 }
 
 #[cfg(test)]
