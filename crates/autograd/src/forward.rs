@@ -9,8 +9,18 @@
 //! either place.
 //!
 //! Where the engine computes a step with other kernels on purpose, the
-//! trait has one coarse op ([`Ops::attr_sums`]) whose two bodies each state
-//! why they agree bit for bit.
+//! trait has a coarse op whose two bodies each state why they agree bit for
+//! bit. There are two:
+//!
+//! - [`Ops::attr_sums`], the attribute encoder's `(Σ v, Σ v²)`: the tape
+//!   gathers the table rows and segment-sums them; the engine multiplies a
+//!   multi-hot CSR against the table and its square, which visits the same
+//!   rows in the same order with `1.0 · x == x`.
+//! - [`Ops::repeat_concat_matmul`], every neighbourhood gate's
+//!   `[repeat_rows(t, g) | nb] · W`: the tape records the repeat, concat and
+//!   matmul; the engine folds `t · W[..d]` once per target and continues
+//!   each repeated partial row with `nb · W[d..]`, the same multiply-adds
+//!   in the same `k` order from the same zero start.
 //!
 //! [`Graph`]: crate::Graph
 //! [`eval`]: crate::graph::eval
@@ -54,6 +64,18 @@ pub trait Ops {
         flat: Rc<Vec<usize>>,
         offsets: Rc<Vec<usize>>,
     ) -> (Self::Value, Self::Value);
+
+    /// Coarse op: `[repeat_rows(target, g) | neighbors] · W` for the
+    /// parameter `w`, the product every neighbourhood gate takes. Target row
+    /// `i`'s neighbours are rows `i·g .. (i+1)·g`; `g = 1` pairs row for row.
+    fn repeat_concat_matmul(
+        &mut self,
+        params: &Self::Params,
+        target: Self::Value,
+        neighbors: Self::Value,
+        g: usize,
+        w: ParamId,
+    ) -> Self::Value;
 
     /// `a · b`.
     fn matmul(&mut self, a: Self::Value, b: Self::Value) -> Self::Value {

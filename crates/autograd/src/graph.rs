@@ -686,6 +686,17 @@ impl Ops for Graph {
         let sum_sq = self.segment_sum_rows_var(v_sq, offsets);
         (sum, sum_sq)
     }
+
+    /// Records the repeat (none at `g = 1`), the concat, the weight leaf and
+    /// the matmul, in the order an unfused `Linear` over the concat records
+    /// them, so the tape and its gradients are what they were before the op
+    /// existed.
+    fn repeat_concat_matmul(&mut self, store: &ParamStore, target: Var, neighbors: Var, g: usize, w: ParamId) -> Var {
+        let rep = if g == 1 { target } else { self.repeat_rows(target, g) };
+        let cat = self.concat(&[rep, neighbors]);
+        let w = self.param_full(store, w);
+        self.matmul(cat, w)
+    }
 }
 
 impl Graph {

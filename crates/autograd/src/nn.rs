@@ -76,6 +76,26 @@ impl Linear {
         assert_eq!(width, self.in_dim, "Linear::forward: input width {width} != layer in_dim {}", self.in_dim);
         let w = o.param(params, self.w);
         let wx = o.matmul(x, w);
+        self.add_bias(o, params, wx)
+    }
+
+    /// Applies the layer to `[repeat_rows(target, g) | neighbors]` through
+    /// [`Ops::repeat_concat_matmul`], so the engine never builds that input.
+    pub fn forward_repeat_concat<O: Ops>(
+        &self,
+        o: &mut O,
+        params: &O::Params,
+        target: O::Value,
+        neighbors: O::Value,
+        g: usize,
+    ) -> O::Value {
+        let width = o.value(&target).cols() + o.value(&neighbors).cols();
+        assert_eq!(width, self.in_dim, "Linear::forward_repeat_concat: input width {width} != layer in_dim {}", self.in_dim);
+        let wx = o.repeat_concat_matmul(params, target, neighbors, g, self.w);
+        self.add_bias(o, params, wx)
+    }
+
+    fn add_bias<O: Ops>(&self, o: &mut O, params: &O::Params, wx: O::Value) -> O::Value {
         match self.b {
             Some(b) => {
                 let bv = o.param(params, b);

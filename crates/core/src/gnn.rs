@@ -81,9 +81,7 @@ impl GnnLayer {
             GnnKind::Gated | GnnKind::GatedNoAggregateGate | GnnKind::GatedNoFilterGate => {
                 // Aggregate side (Eqs. 9–10).
                 let aggregated = if let Some(wa) = &self.w_agg {
-                    let rep = o.repeat_rows(target.clone(), fanout);
-                    let cat = o.concat(&[rep, neighbors.clone()]);
-                    let gate_logits = wa.forward(o, params, cat);
+                    let gate_logits = wa.forward_repeat_concat(o, params, target.clone(), neighbors.clone(), fanout);
                     let gate = o.sigmoid(gate_logits);
                     let gated = o.mul(neighbors.clone(), gate);
                     o.segment_mean_rows(gated, fanout)
@@ -93,8 +91,7 @@ impl GnnLayer {
                 // Filter side (Eqs. 11–12).
                 let remaining = if let Some(wf) = &self.w_filter {
                     let nb_mean = o.segment_mean_rows(neighbors, fanout);
-                    let cat = o.concat(&[target.clone(), nb_mean]);
-                    let gate_logits = wf.forward(o, params, cat);
+                    let gate_logits = wf.forward_repeat_concat(o, params, target.clone(), nb_mean, 1);
                     let fgate = o.sigmoid(gate_logits);
                     let neg = o.neg(fgate);
                     let one_minus = o.add_scalar(neg, 1.0);
@@ -122,9 +119,7 @@ impl GnnLayer {
                 // Node-level attention (DANSER-style), then residual sum.
                 // invariant: `new` registers w_attn whenever kind is Gat
                 let w = self.w_attn.as_ref().expect("attention weights");
-                let rep = o.repeat_rows(target.clone(), fanout);
-                let cat = o.concat(&[rep, neighbors.clone()]);
-                let scores = w.forward(o, params, cat); // (B·g) × 1
+                let scores = w.forward_repeat_concat(o, params, target.clone(), neighbors.clone(), fanout); // (B·g) × 1
                 let scores = o.leaky_relu(scores, 0.2);
                 let alpha = o.segment_softmax_col(scores, fanout);
                 let weighted = o.mul_col_broadcast(neighbors, alpha);

@@ -83,6 +83,27 @@ impl Ops for Eager {
         let attrs = Csr::multi_hot(values.rows(), &offsets, &flat);
         (Arc::new(ops::spmm(&attrs, values)), Arc::new(ops::spmm(&attrs, squared)))
     }
+
+    /// [`ops::repeat_concat_matmul`]: `target · W[..d]` is folded once per
+    /// target row by `ops::matmul_into`, and each partial row, repeated `g`
+    /// times, is continued with `neighbors · W[d..]` by the same fold body,
+    /// with no repeat or concat built. The bits match the tape's repeat +
+    /// concat + matmul because each output element gets the same
+    /// multiply-adds, in the same `k` order, from the same zero start, with
+    /// the same zero skip; a repeated partial row is the bits each of its
+    /// `g` copies would have folded. Locked by `ops::tests::
+    /// repeat_concat_matmul_matches_hconcat_then_matmul_bitwise`,
+    /// `every_gnn_kind_matches_the_tape_bitwise` and the conformance suite.
+    fn repeat_concat_matmul(
+        &mut self,
+        params: &EngineParams,
+        target: Arc<Matrix>,
+        neighbors: Arc<Matrix>,
+        g: usize,
+        w: ParamId,
+    ) -> Arc<Matrix> {
+        Arc::new(ops::repeat_concat_matmul(&target, &neighbors, g, params.values.value(w)))
+    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@
 //! returns scores **bit-identical** (`f32::to_bits`) to
 //! `Agnn::predict_batch` on the same trained model. That holds because both
 //! run the same layer code, whose ops call the same kernels in the same
-//! order with the same operands; the one coarse op the engine computes
-//! differently (`Ops::attr_sums`) states its own argument. The
+//! order with the same operands; the two coarse ops the engine computes
+//! differently (`Ops::attr_sums` and `Ops::repeat_concat_matmul`) each
+//! state their own argument. The
 //! [`conformance`] module and the `agnn-infer` test suite enforce it.
 //!
 //! On top of the plain forward, [`InferenceEngine::materialize`] precomputes

@@ -4,12 +4,13 @@
 //! its adjoint. Kernels take references and return fresh matrices — the
 //! training-loop hot paths are the matmuls (forward [`matmul`], backward
 //! [`matmul_tn`]/[`matmul_nt`]), the gradient accumulator [`axpy`], and the
-//! sparse product [`spmm`].
+//! sparse product [`spmm`]. [`matmul_into`] is the one write-into kernel:
+//! it continues a product into a given accumulator.
 //!
 //! ## One body per kernel
 //!
 //! Every kernel has exactly one single-threaded body. The mul-add kernels
-//! ([`matmul`], [`matmul_tn`], [`spmm`], [`axpy`]) run their inner loop
+//! ([`matmul_into`], [`matmul_tn`], [`spmm`], [`axpy`]) run their inner loop
 //! through [`crate::simd::fma_row`], which only regroups independent output
 //! elements, so each element sees the same `o += a * b` sequence, in
 //! ascending `k`, as a plain scalar loop would. Reductions ([`matmul_nt`]'s
@@ -24,37 +25,113 @@ use crate::csr::Csr;
 use crate::profile::{timed, Kernel};
 use crate::simd;
 use crate::{shape, Matrix};
+use std::ops::Range;
 
-/// `a (m×k) · b (k×n) → (m×n)`.
+/// `a (m×k) · b (k×n) → (m×n)`: [`matmul_into`] from a zero accumulator.
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let (_, n) = b.shape();
     let _ = shape::matmul(a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    timed(Kernel::MatMul, || {
-        let mut out = Matrix::zeros(m, n);
-        if k == 0 || out.is_empty() {
-            return out; // empty inner dimension: the zero matrix
-        }
-        let bs = b.as_slice();
-        for (orow, arow) in out.as_mut_slice().chunks_mut(n).zip(a.as_slice().chunks(k)) {
-            for (kk, &av) in arow.iter().enumerate() {
-                // IEEE deviation: skipping the whole b-row when `av == 0.0`
-                // masks a non-finite value in `b` where strict IEEE 754 would
-                // propagate it (0·NaN = NaN, 0·∞ = NaN). Checked tapes
-                // compensate by scanning both operands before eval
-                // (`Graph::record` in agnn-autograd), so the audit still sees
-                // what the fast path hides.
-                if av == 0.0 {
-                    continue;
-                }
-                simd::fma_row(orow, av, &bs[kk * n..(kk + 1) * n]);
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    matmul_into(&mut out, a, b, 0..b.rows());
+    out
+}
+
+/// `acc (m×n) += a (m×k) · b[b_rows] (k×n)`: continues each output row's
+/// fold over the `k` consecutive rows `b_rows` of `b`, from the values
+/// already in `acc`.
+///
+/// This is [`matmul`]'s one fold body. Element `(i, j)` gets one
+/// `o += a[i][kk] · b[kk][j]` per nonzero `a[i][kk]`, in ascending `kk`, so
+/// a product whose inner dimension is cut into consecutive row ranges of
+/// `b` gives [`matmul`]'s bits when each range continues from the
+/// accumulator the previous range left ([`repeat_concat_matmul`]).
+///
+/// # Panics
+/// Panics if `b_rows` does not lie in `b`, if `a.cols() != b_rows.len()`,
+/// or if `acc` is not `a.rows() × b.cols()`.
+pub fn matmul_into(acc: &mut Matrix, a: &Matrix, b: &Matrix, b_rows: Range<usize>) {
+    let (m, k) = a.shape();
+    let n = b.cols();
+    assert!(
+        b_rows.start <= b_rows.end && b_rows.end <= b.rows() && b_rows.len() == k,
+        "matmul_into: rows {b_rows:?} of a {}x{n} b against a {m}x{k} a",
+        b.rows()
+    );
+    assert_eq!(acc.shape(), (m, n), "matmul_into: accumulator {:?} for a {m}x{n} product", acc.shape());
+    timed(Kernel::MatMul, || fold_rows(acc.as_mut_slice(), a.as_slice(), k, &b.as_slice()[b_rows.start * n..b_rows.end * n]));
+}
+
+/// The fold body of [`matmul_into`] on raw rows: `acc` rows of width `n`
+/// continue over the `k`-wide rows of `a` against the `k × n` rows `bs`.
+fn fold_rows(acc: &mut [f32], a: &[f32], k: usize, bs: &[f32]) {
+    if k == 0 || acc.is_empty() {
+        return; // empty inner dimension: nothing to add
+    }
+    let n = bs.len() / k;
+    for (orow, arow) in acc.chunks_mut(n).zip(a.chunks(k)) {
+        for (&av, brow) in arow.iter().zip(bs.chunks(n)) {
+            // IEEE deviation: skipping the whole b-row when `av == 0.0`
+            // masks a non-finite value in `b` where strict IEEE 754 would
+            // propagate it (0·NaN = NaN, 0·∞ = NaN). Checked tapes
+            // compensate by scanning both operands before eval
+            // (`Graph::record` in agnn-autograd), so the audit still sees
+            // what the fast path hides.
+            if av == 0.0 {
+                continue;
             }
+            simd::fma_row(orow, av, brow);
         }
-        out
-    })
+    }
+}
+
+/// `[repeat_rows(t, g) | nb] · w`: each row of `t` (`B × d`) beside each of
+/// its `g` rows of `nb` (`(B·g) × e`, target `i`'s at `i·g .. (i+1)·g`),
+/// times `w` (`(d + e) × n`), without building the repeat or the concat.
+///
+/// `t · w[0..d]` is folded once per target row by [`matmul_into`]. Each
+/// partial row is repeated `g` times as the starting accumulator, and
+/// `matmul_into`'s fold body continues it with `nb · w[d..]`, one target's
+/// `g` rows at a time. Per element that is the same multiply-adds, in the
+/// same `k` order, from the same zero start as [`matmul`] on the
+/// concatenated operand, so the bits agree; a repeated row is a copy of
+/// the bits every one of its `g` rows would have folded.
+/// At `g = 10` it saves `(g − 1)/2g` (45%) of the multiply-adds.
+///
+/// # Panics
+/// Panics if `w.rows() != t.cols() + nb.cols()`, if
+/// `nb.rows() != t.rows() · g`, or if `g == 0`.
+pub fn repeat_concat_matmul(t: &Matrix, nb: &Matrix, g: usize, w: &Matrix) -> Matrix {
+    assert!(g > 0, "repeat_concat_matmul: zero group size");
+    let d = t.cols();
+    assert_eq!(
+        w.rows(),
+        d + nb.cols(),
+        "repeat_concat_matmul: w has {} rows for {d} + {} input columns",
+        w.rows(),
+        nb.cols()
+    );
+    assert_eq!(nb.rows(), t.rows() * g, "repeat_concat_matmul: {} neighbor rows for {} targets × {g}", nb.rows(), t.rows());
+    let (n, e) = (w.cols(), nb.cols());
+    let mut head = Matrix::zeros(t.rows(), n);
+    matmul_into(&mut head, t, w, 0..d);
+    let mut out = Matrix::zeros(nb.rows(), n);
+    if out.is_empty() {
+        return out;
+    }
+    let tail = &w.as_slice()[d * n..];
+    // One target's g rows at a time, so its block is still in cache when
+    // the fold continues over it.
+    timed(Kernel::MatMul, || {
+        for (i, (block, hrow)) in out.as_mut_slice().chunks_mut(g * n).zip(head.as_slice().chunks(n)).enumerate() {
+            for orow in block.chunks_mut(n) {
+                orow.copy_from_slice(hrow);
+            }
+            fold_rows(block, &nb.as_slice()[i * g * e..(i + 1) * g * e], e, tail);
+        }
+    });
+    out
 }
 
 /// `aᵀ (k×m) · b (k×n) → (m×n)` without materializing the transpose.
@@ -621,6 +698,79 @@ mod tests {
         assert_bits("matmul 1×k", &matmul(&a, &b), &ref_matmul(&a, &b));
         let bt = transpose(&b);
         assert_bits("matmul_nt 1×k", &matmul_nt(&a, &bt), &ref_matmul_nt(&a, &bt));
+    }
+
+    /// A `rows × cols` operand with exact zeros and `-0.0` sprinkled in,
+    /// where a skipped or reordered multiply-add would show.
+    fn zero_sprinkled(rows: usize, cols: usize, salt: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| match (r * 7 + c * 3 + salt) % 6 {
+            0 => 0.0,
+            1 => -0.0,
+            v => ((r * 31 + c * 17 + salt) % 13) as f32 * 0.13 - 0.7 + v as f32 * 0.01,
+        })
+    }
+
+    #[test]
+    fn matmul_into_continues_the_fold_of_matmul_bitwise() {
+        // 13 output columns: one full LANES chunk and a 5-wide tail.
+        let a = zero_sprinkled(5, 9, 0);
+        let b = zero_sprinkled(9, 13, 1);
+        let mut acc = Matrix::zeros(5, 13);
+        matmul_into(&mut acc, &a, &b, 0..9);
+        assert_bits("zeros + matmul_into", &acc, &matmul(&a, &b));
+        assert_bits("matmul", &acc, &ref_matmul(&a, &b));
+        // The same fold cut at every k, continued from the first part's
+        // accumulator.
+        for cut in 0..=9 {
+            let (head, tail) = (Matrix::from_fn(5, cut, |r, c| a.get(r, c)), Matrix::from_fn(5, 9 - cut, |r, c| a.get(r, cut + c)));
+            let mut acc = Matrix::zeros(5, 13);
+            matmul_into(&mut acc, &head, &b, 0..cut);
+            matmul_into(&mut acc, &tail, &b, cut..9);
+            assert_bits(&format!("matmul_into cut at {cut}"), &acc, &matmul(&a, &b));
+        }
+    }
+
+    #[test]
+    fn repeat_concat_matmul_matches_hconcat_then_matmul_bitwise() {
+        let unsplit = |t: &Matrix, nb: &Matrix, g: usize, w: &Matrix| {
+            matmul(&Matrix::hconcat(&[&repeat_rows(t, g), nb]), w)
+        };
+        // D = 13 (an fma_row tail) for the gate's D × D and GAT's 1 column;
+        // g = 1 is the filter gate; B = 0 and D = 0 are the empty cases.
+        for (b, d, n, g) in [(3, 13, 13, 4), (2, 13, 1, 3), (4, 5, 5, 1), (0, 13, 13, 4), (3, 0, 6, 2), (2, 13, 0, 3)] {
+            let mut t = zero_sprinkled(b, d, 2);
+            let mut nb = zero_sprinkled(b * g, d, 3);
+            let mut w = zero_sprinkled(2 * d, n, 4);
+            if d > 0 && n > 0 {
+                // A NaN behind t's all-zero column 1 and an ∞ behind nb's
+                // all-zero column 2: the zero skip must mask both, on both
+                // paths.
+                for r in 0..b {
+                    t.set(r, 1, if r % 2 == 0 { 0.0 } else { -0.0 });
+                }
+                for r in 0..b * g {
+                    nb.set(r, 2, 0.0);
+                }
+                w.set(1, 0, f32::NAN);
+                w.set(d + 2, n - 1, f32::INFINITY);
+            }
+            let out = repeat_concat_matmul(&t, &nb, g, &w);
+            assert_eq!(out.shape(), (b * g, n));
+            assert!(out.all_finite(), "a masked non-finite weight leaked at {:?}", (b, d, n, g));
+            assert_bits(&format!("split {:?}", (b, d, n, g)), &out, &unsplit(&t, &nb, g, &w));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "repeat_concat_matmul: zero group size")]
+    fn repeat_concat_matmul_rejects_a_zero_group_size() {
+        let _ = repeat_concat_matmul(&Matrix::zeros(2, 3), &Matrix::zeros(0, 3), 0, &Matrix::zeros(6, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "repeat_concat_matmul: w has 7 rows")]
+    fn repeat_concat_matmul_rejects_a_weight_of_the_wrong_height() {
+        let _ = repeat_concat_matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 3), 2, &Matrix::zeros(7, 3));
     }
 
     #[test]
