@@ -62,7 +62,7 @@ impl KernelBenchConfig {
     /// Tiny shapes for CI: times every kernel in well under a second.
     pub fn smoke() -> Self {
         Self {
-            shapes: vec![KernelShape { batch: 16, fanout: 4, embed: 16 }, KernelShape { batch: 32, fanout: 8, embed: 24 }],
+            shapes: vec![KernelShape { batch: 16, fanout: 4, embed: 16 }, KernelShape { batch: 32, fanout: 8, embed: 40 }],
             reps: 2,
             warmup: 1,
         }

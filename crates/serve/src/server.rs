@@ -396,6 +396,9 @@ fn accept_loop(
         }
         match stream {
             Ok(stream) => {
+                if let Err(e) = set_accepted_options(&stream) {
+                    log::warn(format!("serve: {what}cannot set TCP_NODELAY: {e}"));
+                }
                 let sh = Arc::clone(shared);
                 let cs = Arc::clone(conns);
                 let spawned = std::thread::Builder::new().name(thread.into()).spawn(move || handle(stream, &sh, &cs));
@@ -412,6 +415,13 @@ fn accept_loop(
             }
         }
     }
+}
+
+/// Socket options of every accepted connection, scoring and admin alike.
+/// Replies are short lines written as they are ready, so Nagle's algorithm
+/// would hold a reply back until the client acknowledged the previous one.
+fn set_accepted_options(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)
 }
 
 /// One admin connection: strictly sequential line-in/response-out (no
@@ -805,4 +815,18 @@ fn answer(shared: &Shared, request: &Request, pairs: u64, msg: String, kind: &'s
         None
     };
     let _ = request.reply.send(Reply::Answer { body: msg, meta });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_streams_send_without_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        set_accepted_options(&stream).unwrap();
+        assert!(stream.nodelay().unwrap(), "an accepted stream must have TCP_NODELAY set");
+    }
 }

@@ -9,14 +9,21 @@
 //!
 //! ## One body per kernel
 //!
-//! Every kernel has exactly one single-threaded body. The mul-add kernels
-//! ([`matmul_into`], [`matmul_tn`], [`spmm`], [`axpy`]) run their inner loop
-//! through [`crate::simd::fma_row`], which only regroups independent output
-//! elements, so each element sees the same `o += a * b` sequence, in
-//! ascending `k`, as a plain scalar loop would. Reductions ([`matmul_nt`]'s
-//! dot products, segment pooling) keep their scalar order, because chunking
-//! them would reassociate a float sum. The unit tests check each kernel
-//! bitwise against a test-local scalar loop with that per-element order.
+//! Every kernel has exactly one single-threaded body. The matmul fold
+//! behind [`matmul`], [`matmul_into`] and [`repeat_concat_matmul`] keeps a
+//! register tile: each output row is cut into column tiles of constant
+//! width (48, then one of 40/32/24/16/8, then an exact 1–7 tail), and a
+//! tile stays in a local array across the whole `k` loop, so the row is
+//! loaded and stored once instead of once per `k`. The other mul-add
+//! kernels ([`matmul_tn`], [`spmm`], [`axpy`]) run their inner loop through
+//! [`crate::simd::fma_row`]. Both forms only regroup independent output
+//! elements: each element sees the same `o += a * b` sequence, in
+//! ascending `k`, from the same starting value, as a plain scalar loop
+//! would, so the bits do not depend on the tiling. Reductions
+//! ([`matmul_nt`]'s dot products, segment pooling) keep their scalar order,
+//! because chunking them would reassociate a float sum. The unit tests
+//! check each kernel bitwise against a test-local scalar loop with that
+//! per-element order, the matmul fold at every output width from 1 to 65.
 //! Parallelism lives above the kernels: the serve workers score requests
 //! concurrently, and a single engine call (at most a few thousand rows at
 //! the paper's D = 40) has too little work to split.
@@ -63,27 +70,80 @@ pub fn matmul_into(acc: &mut Matrix, a: &Matrix, b: &Matrix, b_rows: Range<usize
     timed(Kernel::MatMul, || fold_rows(acc.as_mut_slice(), a.as_slice(), k, &b.as_slice()[b_rows.start * n..b_rows.end * n]));
 }
 
+/// Widest column tile [`fold_rows`] keeps in registers: 48 `f32`s are 12
+/// SSE registers, which leaves room for the broadcast `a` value and the
+/// `b` loads among x86-64's 16.
+const TILE: usize = 48;
+
 /// The fold body of [`matmul_into`] on raw rows: `acc` rows of width `n`
 /// continue over the `k`-wide rows of `a` against the `k × n` rows `bs`.
+///
+/// Each output row is cut into column tiles of constant width: as many
+/// [`TILE`]-wide ones as fit, then one of 40/32/24/16/8, then an exact tail
+/// of 1–7, so no width runs columns one at a time. [`fold_tile`] holds a
+/// tile in a local array across the whole `k` loop and writes it back
+/// once, instead of loading and storing the output row once per `k`.
 fn fold_rows(acc: &mut [f32], a: &[f32], k: usize, bs: &[f32]) {
     if k == 0 || acc.is_empty() {
         return; // empty inner dimension: nothing to add
     }
     let n = bs.len() / k;
+    let (wide, mid, tail) = (n - n % TILE, n - n % 8, n % 8);
     for (orow, arow) in acc.chunks_mut(n).zip(a.chunks(k)) {
-        for (&av, brow) in arow.iter().zip(bs.chunks(n)) {
-            // IEEE deviation: skipping the whole b-row when `av == 0.0`
-            // masks a non-finite value in `b` where strict IEEE 754 would
-            // propagate it (0·NaN = NaN, 0·∞ = NaN). Checked tapes
-            // compensate by scanning both operands before eval
-            // (`Graph::record` in agnn-autograd), so the audit still sees
-            // what the fast path hides.
-            if av == 0.0 {
-                continue;
-            }
-            simd::fma_row(orow, av, brow);
+        for j in (0..wide).step_by(TILE) {
+            fold_tile::<TILE>(orow, arow, bs, j);
+        }
+        match mid - wide {
+            0 => {}
+            8 => fold_tile::<8>(orow, arow, bs, wide),
+            16 => fold_tile::<16>(orow, arow, bs, wide),
+            24 => fold_tile::<24>(orow, arow, bs, wide),
+            32 => fold_tile::<32>(orow, arow, bs, wide),
+            _ => fold_tile::<40>(orow, arow, bs, wide),
+        }
+        match tail {
+            0 => {}
+            1 => fold_tile::<1>(orow, arow, bs, mid),
+            2 => fold_tile::<2>(orow, arow, bs, mid),
+            3 => fold_tile::<3>(orow, arow, bs, mid),
+            4 => fold_tile::<4>(orow, arow, bs, mid),
+            5 => fold_tile::<5>(orow, arow, bs, mid),
+            6 => fold_tile::<6>(orow, arow, bs, mid),
+            _ => fold_tile::<7>(orow, arow, bs, mid),
         }
     }
+}
+
+/// `orow[j..j + T] += Σ_k arow[k] · b[k][j..j + T]` in ascending `k`, with
+/// the tile held in a local `[f32; T]` from its first multiply-add to its
+/// one write-back.
+///
+/// Per element this is the same `o += a·b` sequence, in the same order,
+/// from the same starting value, as one [`simd::fma_row`] per `k` over the
+/// whole row: a tile only regroups independent output elements, and Rust
+/// never contracts `a * b + c` into a fused multiply-add. So the bits are
+/// unchanged.
+#[inline(always)]
+fn fold_tile<const T: usize>(orow: &mut [f32], arow: &[f32], bs: &[f32], j: usize) {
+    let n = orow.len();
+    let out: &mut [f32; T] = (&mut orow[j..j + T]).try_into().expect("tile inside the row");
+    let mut tile = *out;
+    for (&av, brow) in arow.iter().zip(bs.chunks_exact(n)) {
+        // IEEE deviation: skipping the whole b-row when `av == 0.0`
+        // masks a non-finite value in `b` where strict IEEE 754 would
+        // propagate it (0·NaN = NaN, 0·∞ = NaN). Checked tapes
+        // compensate by scanning both operands before eval
+        // (`Graph::record` in agnn-autograd), so the audit still sees
+        // what the fast path hides.
+        if av == 0.0 {
+            continue;
+        }
+        let b: &[f32; T] = brow[j..j + T].try_into().expect("tile inside the row");
+        for l in 0..T {
+            tile[l] += av * b[l];
+        }
+    }
+    *out = tile;
 }
 
 /// `[repeat_rows(t, g) | nb] · w`: each row of `t` (`B × d`) beside each of
@@ -567,7 +627,11 @@ mod tests {
     // (ascending k, the matmul family's zero-skip, rows pooled in order).
 
     fn ref_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
+        ref_matmul_from(Matrix::zeros(a.rows(), b.cols()), a, b)
+    }
+
+    /// [`ref_matmul`] continued from the accumulator `out`.
+    fn ref_matmul_from(mut out: Matrix, a: &Matrix, b: &Matrix) -> Matrix {
         for i in 0..a.rows() {
             for kk in 0..a.cols() {
                 let av = a.get(i, kk);
@@ -712,7 +776,7 @@ mod tests {
 
     #[test]
     fn matmul_into_continues_the_fold_of_matmul_bitwise() {
-        // 13 output columns: one full LANES chunk and a 5-wide tail.
+        // 13 output columns: an 8-wide tile and a 5-wide tail.
         let a = zero_sprinkled(5, 9, 0);
         let b = zero_sprinkled(9, 13, 1);
         let mut acc = Matrix::zeros(5, 13);
@@ -731,11 +795,53 @@ mod tests {
     }
 
     #[test]
+    fn every_tile_width_matches_the_scalar_reference_bitwise() {
+        // Widths 1..=65 run every tile arm of `fold_rows` (48, 40, 32, 24,
+        // 16, 8) and every exact tail (1–7), alone and after wider tiles.
+        for k in [0, 1, 7, 40, 80] {
+            for n in 1..=65 {
+                // One row: other tests cover the row walk, this one the
+                // column ladder, small enough to run under miri.
+                let mut a = zero_sprinkled(1, k, n);
+                let mut b = zero_sprinkled(k, n, n + 1);
+                if k > 0 {
+                    // A NaN and an ∞ behind a's −0.0 first and 0.0 last
+                    // columns: a dropped zero skip would leak them.
+                    a.set(0, 0, -0.0);
+                    a.set(0, k - 1, 0.0);
+                    b.set(0, n / 2, f32::NAN);
+                    b.set(k - 1, n - 1, f32::INFINITY);
+                }
+                let start = zero_sprinkled(1, n, n + 2);
+                let want = ref_matmul_from(start.clone(), &a, &b);
+                assert!(want.all_finite(), "a masked non-finite value leaked into the reference at {k}x{n}");
+                assert_bits(&format!("matmul {k}x{n}"), &matmul(&a, &b), &ref_matmul(&a, &b));
+                let mut acc = start.clone();
+                matmul_into(&mut acc, &a, &b, 0..k);
+                assert_bits(&format!("matmul_into {k}x{n}"), &acc, &want);
+                // The same continuation cut at every k; at the wide inner
+                // dimensions only for the engine's width, 40.
+                if k > 7 && n != 40 {
+                    continue;
+                }
+                for cut in 0..=k {
+                    let head = Matrix::from_fn(1, cut, |r, c| a.get(r, c));
+                    let tail = Matrix::from_fn(1, k - cut, |r, c| a.get(r, cut + c));
+                    let mut cont = start.clone();
+                    matmul_into(&mut cont, &head, &b, 0..cut);
+                    matmul_into(&mut cont, &tail, &b, cut..k);
+                    assert_bits(&format!("matmul_into {k}x{n} cut at {cut}"), &cont, &want);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn repeat_concat_matmul_matches_hconcat_then_matmul_bitwise() {
         let unsplit = |t: &Matrix, nb: &Matrix, g: usize, w: &Matrix| {
             matmul(&Matrix::hconcat(&[&repeat_rows(t, g), nb]), w)
         };
-        // D = 13 (an fma_row tail) for the gate's D × D and GAT's 1 column;
+        // D = 13 (an 8-wide tile and a 5-wide tail) for the gate's D × D and GAT's 1 column;
         // g = 1 is the filter gate; B = 0 and D = 0 are the empty cases.
         for (b, d, n, g) in [(3, 13, 13, 4), (2, 13, 1, 3), (4, 5, 5, 1), (0, 13, 13, 4), (3, 0, 6, 2), (2, 13, 0, 3)] {
             let mut t = zero_sprinkled(b, d, 2);

@@ -1,4 +1,7 @@
-//! Fixed-width chunked inner loops for the mul-add kernels.
+//! Fixed-width chunked inner loops for the row-at-a-time mul-add kernels:
+//! `matmul_tn`, `spmm` and `axpy`. The matmul fold (`ops::fold_rows`) keeps
+//! its output row in a register tile across `k` instead, and does not call
+//! [`fma_row`].
 //!
 //! `rustc` will not auto-vectorize the scalar `for (o, &b) in ...` form of a
 //! row-wise mul-add reliably — the iterator chain obscures the trip count.
