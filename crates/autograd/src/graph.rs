@@ -181,7 +181,7 @@ pub fn eval<'a, V>(op: &'a Op<V>, value: impl Fn(&'a V) -> &'a Matrix) -> Matrix
         Op::Relu(a) => ops::relu(value(a)),
         Op::Sigmoid(a) => ops::sigmoid(value(a)),
         Op::Tanh(a) => ops::tanh(value(a)),
-        Op::Exp(a) => ops::map(value(a), f32::exp),
+        Op::Exp(a) => ops::exp(value(a)),
         Op::Ln(a) => ops::map(value(a), f32::ln),
         Op::SqrtEps(a, eps) => {
             let eps = *eps;

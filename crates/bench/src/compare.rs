@@ -13,7 +13,7 @@
 //!
 //! Each artifact is pull-read through the workspace's JSON reader
 //! ([`agnn_core::jsonio::Parser`]): only the `bench` kind and the
-//! [`ROW_KEYS`] / [`STAGE_KEYS`] quantiles are kept, and every other member
+//! `ROW_KEYS` / `STAGE_KEYS` quantiles are kept, and every other member
 //! is passed over with [`Parser::skip`].
 
 use agnn_core::jsonio::{need, put, read_list, read_object, Parser};

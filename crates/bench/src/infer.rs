@@ -91,7 +91,8 @@ pub struct InferBenchReport {
     pub fixture: FixtureInfo,
     /// Timed repetitions behind each percentile.
     pub reps: usize,
-    /// Wall-clock cost of [`InferenceEngine::materialize`], nanoseconds.
+    /// Wall-clock cost of [`agnn_infer::InferenceEngine::materialize`],
+    /// nanoseconds.
     pub materialize_ns: u64,
     /// One row per batch size.
     pub results: Vec<InferTiming>,

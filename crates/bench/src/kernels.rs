@@ -1,8 +1,8 @@
 //! Kernel benchmark behind `agnn bench --kernels`.
 //!
-//! Times every dense kernel in `agnn-tensor` across representative AGNN
-//! shapes (batch × fanout × embed: the sampled neighborhood tensor is
-//! `(batch·fanout) × embed`). Each row reports p50/p99 wall clock under the
+//! Times every dense kernel in `agnn-tensor`, and the gate sigmoid, across
+//! representative AGNN shapes (batch × fanout × embed: the sampled
+//! neighborhood tensor is `(batch·fanout) × embed`). Each row reports p50/p99 wall clock under the
 //! `p50_ns`/`p99_ns` keys that `bench --compare` guards; the result renders
 //! as both a table and the `BENCH_kernels.json` perf baseline.
 
@@ -234,6 +234,11 @@ fn kernel_op(kernel: Kernel, shape: KernelShape) -> Box<dyn Fn() -> Matrix> {
             let table = pattern(rows, d, 1);
             Box::new(move || ops::spmm(&attrs, &table))
         }
+        // Gate activation over the neighbour level's pre-activations.
+        Kernel::Sigmoid => {
+            let logits = pattern(rows, d, 1);
+            Box::new(move || ops::sigmoid(&logits))
+        }
     }
 }
 
@@ -264,8 +269,8 @@ mod tests {
     #[test]
     fn smoke_bench_times_every_kernel() {
         let report = run_kernel_bench(&KernelBenchConfig::smoke());
-        // 9 kernels × 2 shapes, each with one sample per timed rep.
-        assert_eq!(report.results.len(), 18);
+        // Every kernel × 2 shapes, each with one sample per timed rep.
+        assert_eq!(report.results.len(), Kernel::ALL.len() * 2);
         assert!(report.results.iter().all(|r| r.ns.len() == 2 && r.p50_ns() <= r.p99_ns()));
         // The sweep's op-profile drain lands in the artifact snapshot.
         assert!(report.metrics.counter("tensor.matmul.calls").unwrap_or(0) > 0, "{:?}", report.metrics);

@@ -2,8 +2,8 @@
 //!
 //! Fits one AGNN model on a generated strict-cold-start split, materializes
 //! the inference engine, and sweeps k over a fixed set of evaluation users,
-//! timing [`InferenceEngine::top_k`] (full catalog scored, bounded-heap
-//! select). Each row reports p50/p99 latency under the `p50_ns`/`p99_ns`
+//! timing [`agnn_infer::InferenceEngine::top_k`] (full catalog scored,
+//! bounded-heap select). Each row reports p50/p99 latency under the `p50_ns`/`p99_ns`
 //! keys that `bench --compare` guards, and whether the result matched the
 //! argsort of `score_batch` over all items bit for bit (it must; CI gates
 //! on it).

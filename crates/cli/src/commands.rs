@@ -1029,9 +1029,10 @@ mod tests {
         assert!(msg.contains(&format!("wrote {out}")), "{msg}");
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.contains("\"bench\": \"kernels\""), "{json}");
-        // 9 kernels × 2 smoke shapes, each with the quantiles `--compare` guards.
-        assert_eq!(json.matches("\"kernel\":").count(), 18, "{json}");
-        assert_eq!(json.matches("\"p99_ns\":").count(), 18, "{json}");
+        // Every kernel × 2 smoke shapes, each with the quantiles `--compare` guards.
+        let rows = agnn_tensor::profile::Kernel::ALL.len() * 2;
+        assert_eq!(json.matches("\"kernel\":").count(), rows, "{json}");
+        assert_eq!(json.matches("\"p99_ns\":").count(), rows, "{json}");
     }
 
     #[test]

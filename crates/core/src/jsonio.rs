@@ -120,7 +120,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Passes over the next value, whatever it is. Nested values keep the
-    /// [`MAX_DEPTH`] cap, so skipping hostile input cannot overflow the
+    /// `MAX_DEPTH` cap, so skipping hostile input cannot overflow the
     /// stack either.
     pub fn skip(&mut self) -> Result<(), String> {
         self.skip_ws();

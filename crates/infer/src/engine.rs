@@ -419,7 +419,7 @@ impl InferenceEngine {
     /// `Agnn::predict_batch`) and its own chunk grid; per (chunk round,
     /// ensemble pass) the per-request neighborhood levels are drawn from the
     /// owning request's rng in request order and concatenated level-wise,
-    /// and one merged [`InferenceEngine::forward_levels`] + predict call
+    /// and one merged `forward_levels` + predict call
     /// computes all segments at once. Every kernel on that path is
     /// row-independent (the same argument `materialize` relies on), and each
     /// level keeps contiguous `fanout`-sized neighbor blocks per target row,

@@ -1,6 +1,6 @@
 //! Dense matrix and sparse-vector kernels for the AGNN reproduction.
 //!
-//! This crate is the numeric substrate on which [`agnn-autograd`] builds its
+//! This crate is the numeric substrate on which `agnn-autograd` builds its
 //! reverse-mode automatic differentiation tape. It deliberately stays small:
 //! a row-major `f32` [`Matrix`], the handful of kernels a recommender-model
 //! training loop needs (matmul, broadcasts, reductions, gathers), seeded

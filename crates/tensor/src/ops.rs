@@ -16,7 +16,7 @@
 //! tile stays in a local array across the whole `k` loop, so the row is
 //! loaded and stored once instead of once per `k`. The other mul-add
 //! kernels ([`matmul_tn`], [`spmm`], [`axpy`]) run their inner loop through
-//! [`crate::simd::fma_row`]. Both forms only regroup independent output
+//! `simd::fma_row`. Both forms only regroup independent output
 //! elements: each element sees the same `o += a * b` sequence, in
 //! ascending `k`, from the same starting value, as a plain scalar loop
 //! would, so the bits do not depend on the tiling. Reductions
@@ -24,6 +24,15 @@
 //! because chunking them would reassociate a float sum. The unit tests
 //! check each kernel bitwise against a test-local scalar loop with that
 //! per-element order, the matmul fold at every output width from 1 to 65.
+//!
+//! [`sigmoid`] and [`exp`] are the one exception: they have two bodies,
+//! and the host picks one the way glibc picks its `expf`. Their bits are
+//! libm's `expf`, which only the host's libm defines. Where that is glibc's
+//! `__expf_fma` (x86-64 Linux glibc on a CPU with AVX2 and FMA), an 8-lane
+//! copy of its algorithm (`simd::exp_map`) gives the same bits; on every
+//! other host the body is [`sigmoid_scalar`] (or `f32::exp`) per element.
+//! The tests compare both with libm.
+//!
 //! Parallelism lives above the kernels: the serve workers score requests
 //! concurrently, and a single engine call (at most a few thousand rows at
 //! the paper's D = 40) has too little work to split.
@@ -583,9 +592,23 @@ pub fn leaky_relu(a: &Matrix, slope: f32) -> Matrix {
     map(a, |x| if x >= 0.0 { x } else { slope * x })
 }
 
-/// Logistic sigmoid.
+/// Logistic sigmoid: [`sigmoid_scalar`] of every element, bit for bit, run
+/// by `simd::exp_map` (vectorized on hosts whose `expf` is glibc's FMA
+/// build; see the module docs).
 pub fn sigmoid(a: &Matrix) -> Matrix {
-    map(a, sigmoid_scalar)
+    timed(Kernel::Sigmoid, || exp_map(a, simd::ExpFn::Sigmoid))
+}
+
+/// Elementwise `exp`: `f32::exp` of every element, bit for bit, in the same
+/// loop as [`sigmoid`].
+pub fn exp(a: &Matrix) -> Matrix {
+    exp_map(a, simd::ExpFn::Exp)
+}
+
+fn exp_map(a: &Matrix, f: simd::ExpFn) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), a.cols());
+    simd::exp_map(f, a.as_slice(), out.as_mut_slice());
+    out
 }
 
 /// Scalar logistic sigmoid, numerically stable on both tails.

@@ -1,8 +1,8 @@
 //! Op-level wall-clock profiling registry (DESIGN.md §5.4).
 //!
-//! Every dense kernel routes through [`timed`], which buckets call counts
-//! and elapsed nanoseconds per [`Kernel`] into a process-global registry of
-//! atomics. A **runtime flag** ([`set_profiling`]) gates the clock reads,
+//! Every dense kernel routes through the crate-private `timed` wrapper,
+//! which buckets call counts and elapsed nanoseconds per [`Kernel`] into a
+//! process-global registry of atomics. A **runtime flag** ([`set_profiling`]) gates the clock reads,
 //! so while it is off a kernel call costs one relaxed atomic load more.
 //!
 //! `agnn-train` drains the registry once per epoch ([`take`]) and forwards
@@ -11,9 +11,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// The kernels the registry distinguishes. One bucket per hot dense kernel;
-/// elementwise maps are deliberately unbucketed (they are memory-bound and
-/// a timer per `add`/`mul` would cost more than it measures).
+/// The kernels the registry distinguishes. One bucket per hot dense kernel,
+/// plus the sigmoid: one `expf` and one divide per element cost more than a
+/// D = 40 matmul of the same shape, and the gated GNN takes one per
+/// (target, neighbour) element of every hop. The other elementwise maps
+/// are unbucketed: they are memory-bound, and a timer per `add`/`mul`
+/// would cost more than it measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Kernel {
@@ -35,11 +38,13 @@ pub enum Kernel {
     Axpy,
     /// Sparse×dense product over a CSR left operand.
     Spmm,
+    /// Elementwise logistic sigmoid (the gates of the gated GNN).
+    Sigmoid,
 }
 
 impl Kernel {
     /// Every bucket, in display order.
-    pub const ALL: [Kernel; 9] = [
+    pub const ALL: [Kernel; 10] = [
         Kernel::MatMul,
         Kernel::MatMulTn,
         Kernel::MatMulNt,
@@ -49,6 +54,7 @@ impl Kernel {
         Kernel::RepeatRows,
         Kernel::Axpy,
         Kernel::Spmm,
+        Kernel::Sigmoid,
     ];
 
     /// Stable snake_case name used in profiles and `BENCH_kernels.json`.
@@ -63,6 +69,7 @@ impl Kernel {
             Kernel::RepeatRows => "repeat_rows",
             Kernel::Axpy => "axpy",
             Kernel::Spmm => "spmm",
+            Kernel::Sigmoid => "sigmoid",
         }
     }
 }
